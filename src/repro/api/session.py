@@ -403,7 +403,7 @@ class AllocationSession:
             "stores": len(stores),
             "stored_sets": stored_sets,
             "stored_members": int(sum(int(g.store.member_total) for g in stores)),
-            # Measured memory accounting (docs/ARCHITECTURE.md §2):
+            # Measured memory accounting (docs/ARCHITECTURE.md §4.1):
             # narrowed/spilled member storage across all warm stores.
             "store_bytes": store_bytes,
             "peak_store_bytes": int(sum(int(g.store.peak_bytes) for g in stores)),

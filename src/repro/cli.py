@@ -510,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         dest="rr_bytes_budget",
-        help="RAM budget in bytes per shared RR store; past it members "
+        help="RAM budget in bytes per RR store; past it members "
         "spill to a temp-file memmap (0 = unbounded)",
     )
 

@@ -41,6 +41,17 @@ Documented deviations from the pseudocode (DESIGN.md §4):
   the same estimator semantics (the shared sets are i.i.d. from each
   sharing ad's RR distribution).
 
+Sampling groups: every ad reads its RR sets through a
+:class:`~repro.rrset.collection.SharedRRCollection` over the
+:class:`~repro.rrset.collection.SharedRRStore` of its *group*, which
+owns one sampler, RNG stream and KPT estimator.  ``share_samples``
+decides only the group key — the raw probability bytes
+(:meth:`TIEngine._prob_group_key`) or the ad index.  Keyed by ad,
+every ad is a group of one with its own stream, which is Algorithm 2's
+private per-ad sample; both modes sample and adopt through one code
+path (:meth:`TIEngine._adopt`), and ``rr_bytes_budget`` bounds every
+store either way.
+
 Performance notes (flat data plane + lazy candidates):
 
 * RR sets are drawn through a pluggable
@@ -103,7 +114,7 @@ from repro.rrset.backend import (
     new_fault_counters,
     resolve_backend,
 )
-from repro.rrset.collection import RRCollection, SharedRRCollection, SharedRRStore
+from repro.rrset.collection import SharedRRCollection, SharedRRStore
 from repro.rrset.kernels import resolve_kernel
 from repro.rrset.tim import DEFAULT_THETA_CAP, KPTEstimator, sample_size
 from repro.core.allocation import Allocation, AllocationResult
@@ -141,8 +152,10 @@ def validate_rules(candidate_rule, selector) -> None:
 
 
 class _WarmGroup:
-    """Cross-run sampling state for one distinct probability vector.
+    """Sampling state of one group of ads (see the module docstring).
 
+    Run-local for a cold solve; an :class:`EngineWarmState` keeps its
+    groups, one per distinct probability vector, across runs.
     ``kpt_params`` records the ``(ell, kpt_max_samples)`` the cached KPT
     estimator was built with; a later solve changing either gets a fresh
     estimator (same sampler and RNG stream) instead of silently reusing
@@ -231,7 +244,7 @@ class _AdState:
         self.sampler: SamplerBackend | None = None
         self.rng = None
         self.kpt: KPTEstimator | None = None
-        self.collection = None  # RRCollection or SharedRRCollection
+        self.collection: SharedRRCollection | None = None
         self.store: SharedRRStore | None = None
         self.s_est = 1
         self.theta = 0
@@ -441,94 +454,74 @@ class TIEngine:
         )
         rngs = spawn(self.rng, h)
         self._states = []
-        # Shared-sampling groups: probability-identical ads share one
-        # sampler, RNG stream, KPT estimator and RR store.  In warm mode
-        # the group dict is the session's persistent cache, so groups
-        # created by an earlier solve — including their already-sampled
-        # stores — are found and reused here.
+        # Sampling groups: the ads of a group share one sampler, RNG
+        # stream, KPT estimator and RR store.  With share_samples the
+        # group key is the probability vector, so probability-identical
+        # ads pool their sets; otherwise it is the ad index, so every
+        # ad is a group of one with its own stream rngs[ad].  In warm
+        # mode the group dict is the session's persistent cache, so
+        # groups created by an earlier solve — including their
+        # already-sampled stores — are found and reused here.
         groups = self._warm.stores if self._warm is not None else {}
         counted: set[bytes] = set()
+        kpt_params = (self.ell, self.kpt_max_samples)
         for ad in range(h):
             state = _AdState()
-            state.rng = rngs[ad]
-            if self.share_samples:
-                key = self._prob_group_key(ad)
-                kpt_params = (self.ell, self.kpt_max_samples)
-                group = groups.get(key)
-                if self._warm is not None and key not in counted:
-                    # Reuse observability: one hit/miss per distinct
-                    # probability vector per run, not per ad sharing it.
-                    counted.add(key)
-                    self._warm.counters[
-                        "store_hits" if group is not None else "store_misses"
-                    ] += 1
-                if group is None:
-                    sampler = self._make_sampler(ad)
-                    kpt = (
-                        KPTEstimator(
-                            sampler,
-                            ell=self.ell,
-                            rng=state.rng,
-                            max_samples=self.kpt_max_samples,
-                        )
-                        if self.opt_lower_spec == "kpt"
-                        else None
-                    )
-                    group = _WarmGroup(
+            key = self._prob_group_key(ad) if self.share_samples else ad
+            group = groups.get(key)
+            if self._warm is not None and key not in counted:
+                # Reuse observability: one hit/miss per distinct
+                # probability vector per run, not per ad sharing it.
+                counted.add(key)
+                self._warm.counters[
+                    "store_hits" if group is not None else "store_misses"
+                ] += 1
+            if group is None:
+                sampler = self._make_sampler(ad)
+                kpt = (
+                    KPTEstimator(
                         sampler,
-                        SharedRRStore(n, bytes_budget=self.rr_bytes_budget),
-                        state.rng,
-                        kpt,
-                        kpt_params if kpt is not None else None,
-                    )
-                    groups[key] = group
-                elif self.opt_lower_spec == "kpt" and (
-                    group.kpt is None or group.kpt_params != kpt_params
-                ):
-                    # Either the session's earlier solves priced OPT_s
-                    # differently, or they ran KPT under different
-                    # accuracy parameters — the cached bounds would be
-                    # wrong for this solve, so rebuild (same sampler and
-                    # RNG stream; identical re-solves still hit the cache).
-                    group.kpt = KPTEstimator(
-                        group.sampler,
                         ell=self.ell,
-                        rng=group.rng,
+                        rng=rngs[ad],
                         max_samples=self.kpt_max_samples,
                     )
-                    group.kpt_params = kpt_params
-                state.sampler = group.sampler
-                state.store = group.store
-                state.rng = group.rng
-                state.kpt = group.kpt
-                state.collection = SharedRRCollection(group.store)
-            else:
-                state.sampler = self._make_sampler(ad)
-                if self.opt_lower_spec == "kpt":
-                    state.kpt = KPTEstimator(
-                        state.sampler,
-                        ell=self.ell,
-                        rng=state.rng,
-                        max_samples=self.kpt_max_samples,
-                    )
-                state.collection = RRCollection(n)
+                    if self.opt_lower_spec == "kpt"
+                    else None
+                )
+                group = _WarmGroup(
+                    sampler,
+                    SharedRRStore(n, bytes_budget=self.rr_bytes_budget),
+                    rngs[ad],
+                    kpt,
+                    kpt_params if kpt is not None else None,
+                )
+                groups[key] = group
+            elif self.opt_lower_spec == "kpt" and (
+                group.kpt is None or group.kpt_params != kpt_params
+            ):
+                # Either the session's earlier solves priced OPT_s
+                # differently, or they ran KPT under different accuracy
+                # parameters — the cached bounds would be wrong for this
+                # solve, so rebuild (same sampler and RNG stream;
+                # identical re-solves still hit the cache).
+                group.kpt = KPTEstimator(
+                    group.sampler,
+                    ell=self.ell,
+                    rng=group.rng,
+                    max_samples=self.kpt_max_samples,
+                )
+                group.kpt_params = kpt_params
+            state.sampler = group.sampler
+            state.store = group.store
+            state.rng = group.rng
+            state.kpt = group.kpt
+            state.collection = SharedRRCollection(group.store)
             state.s_est = 1
             state.opt_lower = self._opt_lower_for(state, ad, 1)
             state.theta = sample_size(
                 n, 1, self.eps, self.ell, state.opt_lower, self.theta_cap
             )
-            if self.share_samples:
-                if state.store.size < state.theta:
-                    state.store.extend_flat(
-                        *state.sampler.sample_batch_flat(
-                            state.theta - state.store.size, state.rng
-                        )
-                    )
-                state.collection.adopt(state.theta)
-            else:
-                state.collection.add_sets_flat(
-                    *state.sampler.sample_batch_flat(state.theta, state.rng)
-                )
+            self._adopt(state, state.theta)
             if self.candidate_rule == "pagerank":
                 if self._warm is not None:
                     key = self._prob_group_key(ad)
@@ -636,22 +629,21 @@ class TIEngine:
         if theta_new > state.theta:
             # UpdateEstimates: new sets hit by existing seeds are absorbed
             # straight into the covered count.
-            if self.share_samples:
-                if state.store.size < theta_new:
-                    state.store.extend_flat(
-                        *state.sampler.sample_batch_flat(
-                            theta_new - state.store.size, state.rng
-                        )
-                    )
-                state.collection.adopt(theta_new, seeds=state.seeds)
-            else:
-                state.collection.add_sets_flat(
-                    *state.sampler.sample_batch_flat(
-                        theta_new - state.theta, state.rng
-                    ),
-                    seeds=state.seeds,
-                )
+            self._adopt(state, theta_new, seeds=state.seeds)
             state.theta = theta_new
+
+    def _adopt(self, state: _AdState, theta: int, seeds=()) -> None:
+        """Grow the ad's view to *theta* sets, sampling past the store's end.
+
+        A store already holding *theta* sets — a group mate's or an
+        earlier warm solve's — is adopted without sampling.
+        """
+        store = state.store
+        if store.size < theta:
+            store.extend_flat(
+                *state.sampler.sample_batch_flat(theta - store.size, state.rng)
+            )
+        state.collection.adopt(theta, seeds=seeds)
 
     # ------------------------------------------------------------------
     # Main loop (lines 5–22 of Algorithm 2)
@@ -736,34 +728,18 @@ class TIEngine:
             self._revenue(ad) if self._states[ad].seeds else 0.0 for ad in range(h)
         ]
         seed_cost = [self._states[ad].seed_cost for ad in range(h)]
-        if self.share_samples:
-            stores = list(
-                {id(s.store): s.store for s in self._states if s.store}.values()
-            )
-            memory = sum(store.memory_bytes() for store in stores)
-            memory += sum(s.collection.memory_bytes() for s in self._states)
-            store_bytes = sum(
-                st.member_bytes + int(st.indptr.nbytes) for st in stores
-            )
-            peak_store_bytes = sum(st.peak_bytes for st in stores)
-            total_sets = sum(st.size for st in stores)
-            spilled_stores = sum(1 for st in stores if st.spilled)
-        else:
-            cols = [self._states[ad].collection for ad in range(h)]
-            memory = sum(c.memory_bytes() for c in cols)
-            store_bytes = sum(
-                int(c.members.nbytes) + int(c.indptr.nbytes) for c in cols
-            )
-            peak_store_bytes = store_bytes
-            total_sets = sum(c.theta for c in cols)
-            spilled_stores = 0
+        stores = list({id(s.store): s.store for s in self._states}.values())
+        memory = sum(store.memory_bytes() for store in stores)
+        memory += sum(s.collection.memory_bytes() for s in self._states)
+        store_bytes = sum(st.member_bytes + int(st.indptr.nbytes) for st in stores)
+        total_sets = sum(st.size for st in stores)
         memory_block = {
             "store_bytes": store_bytes,
-            "peak_store_bytes": peak_store_bytes,
+            "peak_store_bytes": sum(st.peak_bytes for st in stores),
             "bytes_per_rr_set": (
                 store_bytes / total_sets if total_sets else 0.0
             ),
-            "spilled_stores": spilled_stores,
+            "spilled_stores": sum(1 for st in stores if st.spilled),
             "rr_bytes_budget": self.rr_bytes_budget,
         }
         return AllocationResult(
@@ -788,7 +764,7 @@ class TIEngine:
                 "sampler_backend": self.sampler_backend,
                 "workers": self.workers,
                 "kernel": self.kernel,
-                # Measured storage accounting (docs/ARCHITECTURE.md §2):
+                # Measured storage accounting (docs/ARCHITECTURE.md §4.1):
                 # narrowed-dtype member bytes, spill state and the
                 # per-set cost the manifest rows surface.
                 "memory": memory_block,

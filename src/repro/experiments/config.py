@@ -48,9 +48,9 @@ class ExperimentConfig:
     # "auto" (numba when importable).  Bit-identical either way, so it
     # never changes results — only throughput.
     kernel: str = "auto"
-    # RAM budget (bytes) per shared RR store; 0 = unbounded.  Past it
+    # RAM budget (bytes) per RR store; 0 = unbounded.  Past it
     # the store's member array spills to a temp-file memmap
-    # (docs/ARCHITECTURE.md §2), keeping real-crawl grids inside a
+    # (docs/ARCHITECTURE.md §4.1), keeping real-crawl grids inside a
     # declared memory envelope.
     rr_bytes_budget: int = 0
     # Engine storage / laziness knobs (docs/ARCHITECTURE.md §6):

@@ -2,7 +2,8 @@
 
 The paper reports process-level GB on 264 GB hardware; the reproduction
 tracks the dominant term — RR-set storage — analytically via
-:meth:`repro.rrset.collection.RRCollection.memory_bytes` and converts it
+:meth:`repro.rrset.collection.SharedRRStore.memory_bytes` plus each ad's
+residual overlay (the engine's ``memory_bytes`` extra) and converts it
 here.  The claim under test is the *shape*: memory grows linearly with
 the number of advertisers and TI-CSRM needs 20–40% more than TI-CARM
 (it certifies larger seed-set sizes, hence more RR sets).

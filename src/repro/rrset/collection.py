@@ -1,44 +1,41 @@
-"""Coverage-indexed collections of RR sets on a flat CSR backend.
+"""Coverage-indexed RR sets: one flat CSR store, one residual view per ad.
 
-:class:`RRCollection` is the workhorse behind TI-CARM / TI-CSRM
-(Algorithm 2).  It maintains, for one ad:
-
-* the sampled RR sets (``θ_i`` of them, growing as the latent seed-set
-  size estimate grows),
-* a *residual* coverage count per node — how many not-yet-covered sets
-  the node belongs to, which is exactly the marginal-coverage quantity
-  ``cov_i(v)`` the selection rules in Algorithms 4 and 5 maximize,
-* the running number of covered sets, from which the revenue estimate
-  ``π̂_i(S_i) = cpe(i) · n · covered / θ_i`` follows.
-
-Storage layout (identical estimator semantics to the original
-list-of-arrays implementation, but every hot operation is a numpy
-kernel):
+Every RR sample lives in a :class:`SharedRRStore` and is read through a
+:class:`SharedRRCollection`, one per ad.  The store holds:
 
 * ``members`` / ``indptr`` — one CSR pair over all sampled sets: set
-  ``k`` occupies ``members[indptr[k]:indptr[k+1]]``.  O(total members)
-  memory, appended in O(batch) per :meth:`RRCollection.add_sets_flat`.
-* ``covered`` — one boolean flag per set; "covered" sets are removed
-  lazily (flagged, member counts decremented), implementing line 14 of
-  Algorithm 2.
+  ``k`` occupies ``members[indptr[k]:indptr[k+1]]``, appended in
+  O(batch) per :meth:`SharedRRStore.extend_flat`;
 * a node → set-ids inverted index, itself a CSR pair, built lazily with
-  ``np.bincount`` + stable ``np.argsort`` over the uncovered sets'
-  members (O(M) per rebuild, triggered once per growth batch — never
-  per member).  Stale entries of later-covered sets are filtered by the
-  ``covered`` flag at query time.
+  ``np.bincount`` + stable ``np.argsort`` over the members (O(M) per
+  rebuild, triggered once per growth batch — never per member).
 
-:meth:`RRCollection.mark_covered_by` is fully vectorized: the node's set
-ids come from one inverted-index slice, and the residual-count
+Each ad's view (its private overlay) holds:
+
+* the number ``θ_i`` of store sets it has adopted, a prefix of the
+  store that grows with the latent seed-set size estimate;
+* ``covered`` — one flag per adopted set; covering is lazy (flagged,
+  member counts decremented), implementing line 14 of Algorithm 2;
+* ``counts`` — per node, how many uncovered adopted sets it belongs to,
+  which is exactly the marginal coverage ``cov_i(v)`` that the
+  selection rules of Algorithms 4 and 5 maximize; the revenue estimate
+  ``π̂_i(S_i) = cpe(i) · n · covered / θ_i`` follows from the running
+  covered count.
+
+Ads whose sets are drawn from one distribution may share a store (the
+engine's ``share_samples``); otherwise every ad is a group of one.
+:class:`RRCollection` is that group of one as a standalone object: a
+view that owns its store and appends with ``add_sets_flat``.
+
+:meth:`SharedRRCollection.mark_covered_by` is fully vectorized: the
+node's set ids come from one inverted-index slice, and the residual
 decrement gathers all member slices of the newly covered sets with one
-ragged gather + ``np.bincount`` subtraction.  Newly sampled sets that
+ragged gather + ``np.bincount`` subtraction.  Newly adopted sets that
 already contain a seed are absorbed directly into the covered count,
 implementing the coverage refresh of ``UpdateEstimates`` (Algorithm 3).
 
-The collection also reports its memory footprint analytically, backing
-the Table 3 reproduction.
-
-Memory bounding (ISSUE 7)
--------------------------
+Memory bounding
+---------------
 Stores are *memory-bounded* for real-crawl scale:
 
 * ``members`` is kept in the smallest sufficient signed dtype for the
@@ -181,237 +178,6 @@ def _seed_mask(n_nodes: int, seeds: Sequence[int]) -> np.ndarray:
     for s in seeds:
         mask[int(s)] = True
     return mask
-
-
-class RRCollection:
-    """Mutable, coverage-indexed RR-set store for one ad (flat CSR)."""
-
-    def __init__(self, n_nodes: int) -> None:
-        if n_nodes <= 0:
-            raise EstimationError(f"n_nodes must be positive, got {n_nodes}")
-        self.n_nodes = int(n_nodes)
-        self.member_dtype = member_dtype_for(self.n_nodes)
-        self.members = np.empty(0, dtype=self.member_dtype)
-        self.indptr = np.zeros(1, dtype=np.int32)
-        self.covered = np.zeros(0, dtype=bool)
-        self.covered_total = 0
-        self.counts = np.zeros(n_nodes, dtype=np.int64)
-        self._inv_indptr: np.ndarray | None = None
-        self._inv_sets: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    # Growth
-    # ------------------------------------------------------------------
-    def add_sets_flat(
-        self, members: np.ndarray, indptr: np.ndarray, seeds: Sequence[int] = ()
-    ) -> int:
-        """Append a flat CSR batch of RR sets (the sampler's output form).
-
-        Parameters
-        ----------
-        members, indptr:
-            A CSR pair as produced by
-            :meth:`RRSampler.sample_batch_flat` or
-            :func:`repro.rrset.backend.merge_shards`: ``members`` is
-            ``int64[total]`` with node ids in ``[0, n_nodes)``;
-            ``indptr`` is ``int64[k + 1]``, non-decreasing, starting at
-            0 and ending at ``members.size``.  Both are **copied** into
-            the collection's own arrays — the caller keeps ownership of
-            (and may freely reuse) the inputs, and no view into them is
-            retained.
-        seeds:
-            Already-selected seed nodes; sets hit by any of them count
-            as covered immediately — they are neither indexed nor
-            counted (Algorithm 3's ``cov'`` refresh).
-
-        Returns the number of newly absorbed covered sets.
-        """
-        members = np.ascontiguousarray(members, dtype=np.int64)
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        _validate_flat(members, indptr, self.n_nodes)
-        k = indptr.size - 1
-        if k == 0:
-            return 0
-        lens = np.diff(indptr)
-        if seeds is not None and len(seeds):
-            hits = _segment_counts(_seed_mask(self.n_nodes, seeds)[members], indptr)
-            covered_new = hits > 0
-        else:
-            covered_new = np.zeros(k, dtype=bool)
-        absorbed = int(covered_new.sum())
-        live_members = members[np.repeat(~covered_new, lens)]
-        if live_members.size:
-            self.counts += np.bincount(live_members, minlength=self.n_nodes)
-        # Range-validated above, so the narrowing cast is lossless; an
-        # explicit astype keeps concatenate from promoting back to int64.
-        self.members = np.concatenate(
-            [self.members, members.astype(self.member_dtype)]
-        )
-        self.indptr = _append_indptr(self.indptr, self.indptr[-1] + indptr[1:])
-        self.covered = np.concatenate([self.covered, covered_new])
-        self.covered_total += absorbed
-        self._inv_indptr = self._inv_sets = None  # rebuilt lazily
-        return absorbed
-
-    def add_sets(self, new_sets: Iterable[np.ndarray], seeds: Sequence[int] = ()) -> int:
-        """List-of-arrays convenience wrapper over :meth:`add_sets_flat`."""
-        members, indptr = _flatten_sets(new_sets)
-        return self.add_sets_flat(members, indptr, seeds=seeds)
-
-    def _inverted(self) -> tuple[np.ndarray, np.ndarray]:
-        """The node → uncovered-set-ids index, rebuilt after growth."""
-        if self._inv_indptr is None:
-            lens = np.diff(self.indptr)
-            live = np.repeat(~self.covered, lens)
-            sids = np.repeat(np.arange(self.theta, dtype=np.int64), lens)[live]
-            self._inv_indptr, self._inv_sets = build_inverted_index(
-                self.members[live], sids, self.n_nodes
-            )
-        return self._inv_indptr, self._inv_sets
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def theta(self) -> int:
-        """Total number of sampled RR sets (covered included)."""
-        return self.indptr.size - 1
-
-    def set_members(self, sid: int) -> np.ndarray:
-        """Member ids of set *sid* (a CSR slice view)."""
-        return self.members[self.indptr[sid] : self.indptr[sid + 1]]
-
-    def residual_count(self, node: int) -> int:
-        """Number of uncovered sets containing *node* (``cov_i(node)``)."""
-        return int(self.counts[node])
-
-    def best_node(self, allowed: np.ndarray) -> int | None:
-        """Unassigned node with maximum residual coverage (Algorithm 4).
-
-        *allowed* is a boolean mask over nodes; returns ``None`` when no
-        allowed node covers anything... except that a zero-coverage node is
-        still a legal (zero-marginal-revenue) candidate, so the argmax is
-        returned whenever any node is allowed.
-        """
-        if not allowed.any():
-            return None
-        masked = np.where(allowed, self.counts, -1)
-        node = int(masked.argmax())
-        if masked[node] < 0:
-            return None
-        return node
-
-    def best_node_by_ratio(
-        self,
-        costs: np.ndarray,
-        allowed: np.ndarray,
-        window: int | None = None,
-    ) -> int | None:
-        """Node maximizing coverage-to-incentive-cost ratio (Algorithm 5).
-
-        With *window* = ``w`` the argmax is restricted to the ``w`` allowed
-        nodes of highest residual coverage — the trade-off knob studied in
-        Figure 4 (``w = 1`` reduces to the cost-agnostic choice, ``w = n``
-        is the full cost-sensitive rule).  Zero costs are floored at a tiny
-        epsilon for the division only, making free influencers maximally
-        attractive without numeric warnings.
-        """
-        return _best_by_ratio(self.counts, costs, allowed, window)
-
-    def max_residual_fraction(self, allowed: np.ndarray) -> float:
-        """``F^max_{R_i}``: the largest residual coverage fraction (Eq. 10)."""
-        if self.theta == 0 or not allowed.any():
-            return 0.0
-        return float(np.where(allowed, self.counts, 0).max()) / self.theta
-
-    def spread_estimate(self, node_or_set, n_nodes: int | None = None) -> float:
-        """Static spread estimate ``n · F_R(S)`` over *all* sampled sets.
-
-        *node_or_set* is a scalar node id or an iterable of node ids
-        (each in ``[0, n_nodes)``); *n_nodes* overrides the population
-        size ``n`` in the estimator (defaults to the collection's own).
-        Unlike the residual counts this intentionally includes covered
-        sets, matching the unbiased-estimator definition.  One membership
-        mask lookup over the flat member array plus a segmented
-        reduction; read-only — no collection state is touched.
-        """
-        if self.theta == 0:
-            raise EstimationError("cannot estimate spread from an empty collection")
-        n = self.n_nodes if n_nodes is None else n_nodes
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        if np.isscalar(node_or_set):
-            mask[int(node_or_set)] = True
-        else:
-            for v in node_or_set:
-                mask[int(v)] = True
-        hit = int((_segment_counts(mask[self.members], self.indptr) > 0).sum())
-        return n * hit / self.theta
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def mark_covered_by(self, node: int) -> int:
-        """Cover every uncovered set containing *node* (Alg. 2, line 14).
-
-        Member counts of the covered sets are decremented (one ragged
-        gather + ``np.bincount`` over ``counts``, an ``int64[n_nodes]``
-        vector mutated in place) so residual counts stay equal to
-        marginal coverages.  Triggers a lazy inverted-index rebuild if
-        sets were added since the last query.  Returns the number of
-        sets newly covered (the selected seed's ``cov_i``).
-        """
-        inv_indptr, inv_sets = self._inverted()
-        ids = inv_sets[inv_indptr[node] : inv_indptr[node + 1]]
-        fresh = ids[~self.covered[ids]]
-        if not fresh.size:
-            return 0
-        self.covered[fresh] = True
-        self.covered_total += int(fresh.size)
-        dead = _gather_segments(self.members, self.indptr, fresh)
-        self.counts -= np.bincount(dead, minlength=self.n_nodes)
-        return int(fresh.size)
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    def memory_bytes(self) -> int:
-        """Analytic footprint of the stored sets and indexes (Table 3).
-
-        Members are counted at their actual (narrowed) width; the
-        node → set-id inverted index is counted at one ``int64`` entry
-        per member whether or not it is currently materialized, keeping
-        the figure deterministic across lazy rebuilds.
-        """
-        set_bytes = int(self.members.nbytes)
-        index_bytes = self.members.size * 8
-        flags = self.theta
-        counts_bytes = self.counts.nbytes
-        return set_bytes + index_bytes + flags + counts_bytes
-
-    def bytes_per_rr_set(self) -> float:
-        """Measured storage bytes per sampled set (members + offsets)."""
-        if self.theta == 0:
-            return 0.0
-        return (int(self.members.nbytes) + int(self.indptr.nbytes)) / self.theta
-
-
-def _best_by_ratio(
-    counts: np.ndarray,
-    costs: np.ndarray,
-    allowed: np.ndarray,
-    window: int | None,
-) -> int | None:
-    """Shared Algorithm-5 argmax over residual counts / incentive costs."""
-    if not allowed.any():
-        return None
-    candidate_idx = np.flatnonzero(allowed)
-    if window is not None and window < candidate_idx.size:
-        cand_counts = counts[candidate_idx]
-        top = np.argpartition(-cand_counts, window - 1)[:window]
-        candidate_idx = candidate_idx[top]
-    safe_costs = np.maximum(costs[candidate_idx], 1e-12)
-    ratios = counts[candidate_idx] / safe_costs
-    return int(candidate_idx[int(np.argmax(ratios))])
 
 
 class SharedRRStore:
@@ -558,8 +324,11 @@ class SharedRRStore:
         if self._inv_indptr is None:
             lens = np.diff(self.indptr)
             sids = np.repeat(np.arange(self.size, dtype=np.int64), lens)
+            # Sorted at the narrowed width (radix sort for int16); a
+            # spilled store is copied to RAM once instead of read twice.
+            members = np.array(self.members) if self.spilled else self.members
             self._inv_indptr, self._inv_sets = build_inverted_index(
-                np.asarray(self.members, dtype=np.int64), sids, self.n_nodes
+                members, sids, self.n_nodes
             )
         return self._inv_indptr, self._inv_sets
 
@@ -722,8 +491,7 @@ class SharedRRStore:
 
         Members count at their narrowed width — or zero once spilled to
         disk — plus one ``int64`` inverted-index entry per member
-        (deterministic across lazy rebuilds, as in
-        :meth:`RRCollection.memory_bytes`).
+        (deterministic across lazy rebuilds).
         """
         set_bytes = 0 if self.spilled else self.member_bytes
         return set_bytes + self.member_total * 8
@@ -732,12 +500,13 @@ class SharedRRStore:
 class SharedRRCollection:
     """One ad's residual view over a :class:`SharedRRStore`.
 
-    Implements the same interface surface the TI engine uses on
-    :class:`RRCollection` (residual counts, covering, Eq.-10 fractions,
-    Alg.-3 absorption), but stores only ``covered`` flags and the count
-    vector privately.  ``theta`` is the number of store sets this ad has
+    The ad's private overlay is the ``covered`` flag per adopted set and
+    the residual count vector ``counts``, with the invariant that
+    ``counts[v]`` is the number of uncovered adopted sets containing
+    ``v`` — the marginal coverage ``cov_i(v)`` that Algorithms 4 and 5
+    maximize.  ``theta`` is the number of store sets this ad has
     *adopted*; adopting more sets (after an Eq.-10 growth step) counts
-    the new suffix of the shared store with one ``np.bincount``.
+    the new suffix of the store with one ``np.bincount``.
     """
 
     def __init__(self, store: SharedRRStore) -> None:
@@ -761,9 +530,10 @@ class SharedRRCollection:
         0.  The adopted suffix is read as CSR *views* into the shared
         store (never copied); only this ad's private overlay — the
         ``covered`` ``bool[theta]`` flags and the ``int64[n_nodes]``
-        residual ``counts`` — is (re)allocated here.  Mirrors
-        :meth:`RRCollection.add_sets_flat` semantics (Algorithm 3's
-        refresh); returns the number of newly absorbed covered sets.
+        residual ``counts`` — is (re)allocated here.  Sets hit by any
+        of *seeds* (already-selected seed nodes) count as covered at
+        once and are never counted (Algorithm 3's ``cov'`` refresh);
+        returns the number of newly absorbed covered sets.
         """
         if upto > self.store.size:
             raise EstimationError(
@@ -790,12 +560,21 @@ class SharedRRCollection:
         self._adopted = upto
         return absorbed
 
+    def set_members(self, sid: int) -> np.ndarray:
+        """Member ids of store set *sid* (a CSR slice view)."""
+        return self.store.set_members(sid)
+
     def residual_count(self, node: int) -> int:
         """``cov_i(node)`` over this ad's uncovered adopted sets."""
         return int(self.counts[node])
 
     def best_node(self, allowed: np.ndarray) -> int | None:
-        """Same selection rule as :meth:`RRCollection.best_node`."""
+        """Allowed node with maximum residual coverage (Algorithm 4).
+
+        *allowed* is a boolean mask over nodes.  A zero-coverage node is
+        still a legal (zero-marginal-revenue) candidate, so the argmax
+        is returned whenever any node is allowed, and ``None`` otherwise.
+        """
         if not allowed.any():
             return None
         masked = np.where(allowed, self.counts, -1)
@@ -805,8 +584,25 @@ class SharedRRCollection:
     def best_node_by_ratio(
         self, costs: np.ndarray, allowed: np.ndarray, window: int | None = None
     ) -> int | None:
-        """Same selection rule as :meth:`RRCollection.best_node_by_ratio`."""
-        return _best_by_ratio(self.counts, costs, allowed, window)
+        """Node maximizing coverage-to-incentive-cost ratio (Algorithm 5).
+
+        With *window* = ``w`` the argmax is restricted to the ``w`` allowed
+        nodes of highest residual coverage — the trade-off knob studied in
+        Figure 4 (``w = 1`` reduces to the cost-agnostic choice, ``w = n``
+        is the full cost-sensitive rule).  Zero costs are floored at a tiny
+        epsilon for the division only, making free influencers maximally
+        attractive without numeric warnings.
+        """
+        if not allowed.any():
+            return None
+        candidate_idx = np.flatnonzero(allowed)
+        if window is not None and window < candidate_idx.size:
+            cand_counts = self.counts[candidate_idx]
+            top = np.argpartition(-cand_counts, window - 1)[:window]
+            candidate_idx = candidate_idx[top]
+        safe_costs = np.maximum(costs[candidate_idx], 1e-12)
+        ratios = self.counts[candidate_idx] / safe_costs
+        return int(candidate_idx[int(np.argmax(ratios))])
 
     def max_residual_fraction(self, allowed: np.ndarray) -> float:
         """``F^max_{R_i}`` over this ad's residual view (Eq. 10)."""
@@ -815,7 +611,14 @@ class SharedRRCollection:
         return float(np.where(allowed, self.counts, 0).max()) / self._adopted
 
     def mark_covered_by(self, node: int) -> int:
-        """Cover this ad's uncovered adopted sets containing *node*."""
+        """Cover this ad's uncovered adopted sets containing *node* (Alg. 2,
+        line 14).
+
+        The set ids come from one slice of the store's inverted index;
+        the residual counts of the newly covered sets drop by one ragged
+        gather + ``np.bincount``.  Returns the number of sets newly
+        covered (the selected seed's ``cov_i``).
+        """
         ids = self.store.sets_containing(node)
         ids = ids[ids < self._adopted]
         fresh = ids[~self.covered[ids]]
@@ -830,6 +633,59 @@ class SharedRRCollection:
     def memory_bytes(self) -> int:
         """Private overlay only; the shared store is accounted once."""
         return self.covered.size + self.counts.nbytes
+
+
+class RRCollection(SharedRRCollection):
+    """A sampling group of one: a residual view over a private store.
+
+    The standalone form of Algorithm 2's per-ad RR sample — the store
+    holds exactly the sets this view has adopted.
+    """
+
+    def __init__(self, n_nodes: int) -> None:
+        super().__init__(SharedRRStore(n_nodes))
+
+    def add_sets_flat(
+        self, members: np.ndarray, indptr: np.ndarray, seeds: Sequence[int] = ()
+    ) -> int:
+        """Append a flat CSR batch (the sampler's output form) and adopt it.
+
+        The batch is copied into the store (:meth:`SharedRRStore.extend_flat`),
+        so callers keep ownership of their buffers; *seeds* and the return
+        value are as in :meth:`adopt`.
+        """
+        self.store.extend_flat(members, indptr)
+        return self.adopt(self.store.size, seeds)
+
+    def add_sets(self, new_sets: Iterable[np.ndarray], seeds: Sequence[int] = ()) -> int:
+        """List-of-arrays convenience wrapper over :meth:`add_sets_flat`."""
+        return self.add_sets_flat(*_flatten_sets(new_sets), seeds=seeds)
+
+    @property
+    def members(self) -> np.ndarray:
+        """The store's member array (narrowed dtype)."""
+        return self.store.members
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """The store's set offsets."""
+        return self.store.indptr
+
+    def spread_estimate(self, node_or_set, n_nodes: int | None = None) -> float:
+        """Static spread estimate ``n · F_R(S)`` over *all* sampled sets.
+
+        *node_or_set* is a node id or an iterable of node ids; *n_nodes*
+        overrides the population size ``n`` (defaults to the
+        collection's own).  Covered sets count too, as the unbiased
+        estimator requires.
+        """
+        seeds = [node_or_set] if np.isscalar(node_or_set) else node_or_set
+        n = self.n_nodes if n_nodes is None else n_nodes
+        return estimate_spread_flat(self.members, self.indptr, seeds, n)
+
+    def memory_bytes(self) -> int:
+        """The private store plus the residual overlay."""
+        return self.store.memory_bytes() + super().memory_bytes()
 
 
 def estimate_spread_flat(

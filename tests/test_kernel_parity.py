@@ -228,7 +228,7 @@ class TestPropertyParity:
 #: even to an equally valid sample — fails loudly here.  Private and
 #: shared sampling are *documented* distinct streams (prob-identical
 #: ads share one store under ``share_samples``), so each gets its own
-#: golden; spilling a shared store must never move the shared one.
+#: golden; spilling a store must never move either one.
 GOLDEN = {
     "TI-CSRM": {
         "private": {
@@ -294,8 +294,11 @@ class TestGoldenAllocations:
             # memmap on its first batch; allocations must not move off
             # the shared-sampling golden.
             ("shared", {"share_samples": True, "rr_bytes_budget": 1}),
+            # Private sampling keeps one store per ad, under the same
+            # budget: every store spills and the private golden holds.
+            ("private", {"rr_bytes_budget": 1}),
         ],
-        ids=["ram-private", "ram-shared", "spill-shared"],
+        ids=["ram-private", "ram-shared", "spill-shared", "spill-private"],
     )
     def test_serial_combinations_match_golden(
         self, golden_instance, algorithm, kernel, golden_key, extra

@@ -214,10 +214,12 @@ set_lists = st.lists(
     set_lists,
     st.frozensets(st.integers(0, 7), max_size=2),
     st.lists(st.integers(0, 7), max_size=4),
+    st.integers(0, 12),
 )
-def test_flat_collection_matches_naive(rr_sets, seeds, cover_nodes):
+def test_flat_collection_matches_naive(rr_sets, seeds, cover_nodes, split):
     """Counts, covered totals and return values track the naive mirror
-    through an arbitrary add + cover sequence."""
+    through an arbitrary add + cover sequence, for a private collection
+    and for a view adopting a shared store in two steps."""
     arrays = [np.asarray(sorted(s), dtype=np.int64) for s in rr_sets]
     flat = RRCollection(8)
     naive = NaiveCollection(8)
@@ -237,6 +239,35 @@ def test_flat_collection_matches_naive(rr_sets, seeds, cover_nodes):
         if not naive.covered[sid]:
             recount[members] += 1
     assert flat.counts.tolist() == recount.tolist()
+
+    # Store + view: adopt a prefix, cover, then adopt the rest with the
+    # covered nodes as seeds (the engine's growth step), against a
+    # second mirror fed the same two batches.
+    split = min(split, len(arrays))
+    store = SharedRRStore(8)
+    store.extend(arrays)
+    view = SharedRRCollection(store)
+    bystander = SharedRRCollection(store)
+    bystander.adopt(len(arrays))
+    mirror = NaiveCollection(8)
+    assert view.adopt(split, seeds=list(seeds)) == mirror.add_sets(
+        arrays[:split], seeds=list(seeds)
+    )
+    for node in cover_nodes:
+        assert view.mark_covered_by(node) == mirror.mark_covered_by(node)
+        assert view.counts.tolist() == mirror.counts.tolist()
+    grown_seeds = sorted(set(seeds) | set(cover_nodes))
+    assert view.adopt(len(arrays), seeds=grown_seeds) == mirror.add_sets(
+        arrays[split:], seeds=grown_seeds
+    )
+    assert view.counts.tolist() == mirror.counts.tolist()
+    assert view.covered_total == mirror.covered_total
+    assert view.covered.tolist() == mirror.covered
+    assert view.theta == len(mirror.sets)
+    # A second view on the same store sees none of the first one's covers.
+    everything = np.bincount(np.concatenate(arrays), minlength=8)
+    assert bystander.covered_total == 0
+    assert bystander.counts.tolist() == everything.tolist()
 
 
 @settings(max_examples=40, deadline=None)
