@@ -17,9 +17,13 @@ speedups.
 This file also measures the **serial-vs-parallel sampler scaling
 curve** over the backend seam (``repro.rrset.backend``) and writes it
 to a separate ``BENCH_parallel.json`` — the hotpath trajectory file is
-extended, never overwritten.  Parallel numbers are only meaningful on
-multi-core hosts; the report embeds ``os.cpu_count()`` so a single-core
-CI box's sub-1× ratios are legible as host artifacts, not regressions.
+extended, never overwritten.  The curve is taken at 20k and 200k sets
+(the parallel backend's gate is beating serial at >= 200k sets), each
+point the median of five timed batches taken in rotation with the
+serial reference.  Parallel numbers are only meaningful on multi-core
+hosts; the report embeds ``os.cpu_count()`` and whether numba is
+installed, so a single-core CI box's sub-1× ratios are legible as host
+artifacts, not regressions.
 
 Run standalone: ``PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py``,
 or explicitly via ``pytest benchmarks/bench_perf_hotpaths.py`` (the file
@@ -57,6 +61,9 @@ RESULT_PATH = REPO_ROOT / "BENCH_hotpaths.json"
 PARALLEL_RESULT_PATH = REPO_ROOT / "BENCH_parallel.json"
 
 WORKER_CURVE = (1, 2, 4)
+#: Batch sizes of the parallel scaling curve, and timed repeats per point.
+PARALLEL_SETS = (20_000, 200_000)
+PARALLEL_REPEATS = 5
 
 WORKLOAD = dict(
     dataset="epinions_syn",
@@ -195,44 +202,61 @@ def run_benchmarks() -> dict:
 def bench_parallel_scaling(inst) -> dict:
     """Serial-vs-parallel sampler throughput over the backend seam.
 
-    Warms each backend before timing (pool spin-up and allocator noise
-    are not sampler throughput).  Records one curve point per entry of
-    ``WORKER_CURVE`` plus the serial reference, with the host core
-    count, so the scaling claim is always read against the hardware it
-    ran on.
+    Records, for every batch size in ``PARALLEL_SETS``, the serial
+    reference and one curve point per entry of ``WORKER_CURVE``, with
+    the host core count and numba availability, so the scaling claim is
+    always read against the hardware it ran on.  Each backend is warmed
+    with one untimed batch (allocator noise is not throughput); the
+    timed batches then rotate through serial and every worker count
+    ``PARALLEL_REPEATS`` times, so host drift lands on all of them
+    alike, and each rate is the median of its repeats.
     """
     graph, probs = inst.graph, inst.ad_probs[0]
-    count = WORKLOAD["sampler_sets"]
-
-    serial = SerialBackend(graph, probs)
-    serial.sample_batch_flat(2_000, np.random.default_rng(0))  # warm
-    t0 = time.perf_counter()
-    serial.sample_batch_flat(count, np.random.default_rng(123))
-    serial_rate = count / (time.perf_counter() - t0)
-
+    backends = {0: SerialBackend(graph, probs)}
+    backends.update(
+        (workers, ParallelBackend(graph, probs, workers=workers))
+        for workers in WORKER_CURVE
+    )
+    serial_rates = {}
     curve = []
-    for workers in WORKER_CURVE:
-        with ParallelBackend(graph, probs, workers=workers) as backend:
-            backend.sample_batch_flat(2_000, np.random.default_rng(0))  # warm
-            t0 = time.perf_counter()
-            backend.sample_batch_flat(count, np.random.default_rng(123))
-            rate = count / (time.perf_counter() - t0)
-        curve.append(
-            {
-                "workers": workers,
-                "sampler_sets_per_s": round(rate, 1),
-                "speedup_vs_serial": round(rate / serial_rate, 2),
-            }
-        )
+    try:
+        for backend in backends.values():
+            backend.sample_batch_flat(2_000, np.random.default_rng(0))
+        for count in PARALLEL_SETS:
+            times = {workers: [] for workers in backends}
+            for rep in range(PARALLEL_REPEATS):
+                for workers, backend in backends.items():
+                    t0 = time.perf_counter()
+                    backend.sample_batch_flat(count, np.random.default_rng(123 + rep))
+                    times[workers].append(time.perf_counter() - t0)
+            rates = {w: count / float(np.median(t)) for w, t in times.items()}
+            serial_rates[str(count)] = round(rates[0], 1)
+            curve.extend(
+                {
+                    "sets": count,
+                    "workers": workers,
+                    "sampler_sets_per_s": round(rates[workers], 1),
+                    "speedup_vs_serial": round(rates[workers] / rates[0], 2),
+                }
+                for workers in WORKER_CURVE
+            )
+    finally:
+        for backend in backends.values():
+            backend.close()
     return {
         "meta": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
+            "numba": NUMBA_AVAILABLE,
         },
-        "workload": WORKLOAD,
-        "serial_sets_per_s": round(serial_rate, 1),
+        "workload": {
+            **WORKLOAD,
+            "parallel_sets": list(PARALLEL_SETS),
+            "repeats": PARALLEL_REPEATS,
+        },
+        "serial_sets_per_s": serial_rates,
         "curve": curve,
         "note": (
             "speedup_vs_serial scales with physical cores; on a "
@@ -279,8 +303,10 @@ def test_parallel_scaling():
     report = bench_parallel_scaling(inst)
     save_parallel_report(report)
     print(json.dumps(report, indent=2))
-    assert report["serial_sets_per_s"] > 0
-    assert [p["workers"] for p in report["curve"]] == list(WORKER_CURVE)
+    assert all(rate > 0 for rate in report["serial_sets_per_s"].values())
+    assert [(p["sets"], p["workers"]) for p in report["curve"]] == [
+        (count, workers) for count in PARALLEL_SETS for workers in WORKER_CURVE
+    ]
     assert all(p["sampler_sets_per_s"] > 0 for p in report["curve"])
     assert report["meta"]["cpu_count"] >= 1
 

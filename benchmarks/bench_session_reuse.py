@@ -125,9 +125,7 @@ def run_benchmark() -> dict:
             "total_s": round(sum(warm_times), 4),
             "first_solve_s": round(first, 4),
             "revenue": [round(r, 1) for r in warm_revenue],
-            "session_stats": {
-                k: v for k, v in stats.items() if k != "pool_active"
-            },
+            "session_stats": stats,
         },
         "speedup": {
             "warm_resolve_vs_cold": round(

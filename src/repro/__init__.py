@@ -21,8 +21,8 @@ Quickstart — one spec, one call::
     print(result.summary())
 
 Repeated solves over the same graph (varying budgets, CPEs or
-incentives) should go through a session, which keeps RR samples and
-the worker pool warm::
+incentives) should go through a session, which keeps RR samples, KPT
+estimates and pagerank orders warm::
 
     with repro.AllocationSession(dataset.graph, spec=spec) as session:
         for budget in (40.0, 60.0, 80.0):
@@ -42,8 +42,6 @@ from repro.errors import (
     SpecError,
     EstimationError,
     ConvergenceError,
-    WorkerCrashError,
-    PoolDegradedError,
     CellTimeoutError,
     FaultInjectedError,
     ServeError,
@@ -85,7 +83,6 @@ from repro.rrset import (
     SamplerBackend,
     SerialBackend,
     ParallelBackend,
-    SharedGraphPool,
     make_backend,
 )
 from repro.incentives import INCENTIVE_MODELS, compute_incentives
@@ -140,8 +137,6 @@ __all__ = [
     "SpecError",
     "EstimationError",
     "ConvergenceError",
-    "WorkerCrashError",
-    "PoolDegradedError",
     "CellTimeoutError",
     "FaultInjectedError",
     "ServeError",
@@ -177,7 +172,6 @@ __all__ = [
     "SamplerBackend",
     "SerialBackend",
     "ParallelBackend",
-    "SharedGraphPool",
     "make_backend",
     "INCENTIVE_MODELS",
     "compute_incentives",

@@ -14,8 +14,8 @@ variant) into one surface:
 * :func:`~repro.api.solve.solve` — the one-call entrypoint
   ``repro.solve(instance, "TI-CSRM", spec)``, plus
   :class:`~repro.api.session.AllocationSession` which keeps RR samples,
-  pagerank orders and the shared-memory worker pool warm across
-  repeated solves over the same graph and probability family.
+  KPT estimates and pagerank orders warm across repeated solves over
+  the same graph and probability family.
 
 See docs/ARCHITECTURE.md §9 for the full contract.
 """

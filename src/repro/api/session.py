@@ -4,8 +4,7 @@ The ROADMAP's production framing — and the follow-up literature (Han et
 al. 2021; Tang & Yuan 2021) — is about *re-solving* the same social
 graph under varying budgets, CPEs and incentive schedules.  A bare
 ``repro.solve`` restarts everything per call: RR sampling from set 0,
-KPT estimation from scratch, pagerank rankings, and (for the parallel
-backend) a fresh shared-memory worker pool.  An
+KPT estimation from scratch and pagerank rankings.  An
 :class:`AllocationSession` is bound to one graph and keeps all of that
 warm across solves:
 
@@ -19,9 +18,6 @@ warm across solves:
   (continuing the store's persisted RNG stream).
 * **KPT estimators** (cached width samples and per-``s`` bounds) and
   **pagerank orders** are cached per probability vector the same way.
-* **One `SharedGraphPool`.**  The first parallel solve creates the
-  worker pool; every later solve reuses it.  The engine never tears a
-  session's pool down — :meth:`close` (or the context manager) does.
 
 Reuse and invalidation rules (docs/ARCHITECTURE.md §9): a new
 probability vector simply creates a new store (the "family" grows);
@@ -44,7 +40,7 @@ import time
 import numpy as np
 
 from repro import faults as _faults
-from repro.errors import AllocationError, WorkerCrashError
+from repro.errors import AllocationError
 from repro.api.spec import EngineSpec
 from repro.api.registry import AlgorithmDef
 from repro.core.allocation import AllocationResult
@@ -52,12 +48,7 @@ from repro.core.instance import RMInstance
 from repro.core.ti_engine import EngineWarmState
 from repro.graph.digraph import DiGraph
 from repro.graph.updates import compile_updates, normalize_updates
-from repro.rrset.backend import (
-    SamplerBackend,
-    SharedGraphPool,
-    make_backend,
-    resolve_backend,
-)
+from repro.rrset.backend import SamplerBackend, make_backend, resolve_backend
 
 
 class _CountingBackend(SamplerBackend):
@@ -73,11 +64,6 @@ class _CountingBackend(SamplerBackend):
         self._stats["sample_batches"] += 1
         self._stats["sets_sampled"] += int(count)
         return self._inner.sample_batch_flat(count, rng, roots=roots)
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the wrapped backend fell back to in-process sampling."""
-        return bool(getattr(self._inner, "degraded", False))
 
     def close(self) -> None:
         self._inner.close()
@@ -196,11 +182,10 @@ class AllocationSession:
           probability-*decrease* batches the surviving slots are
           bit-identical in membership to a same-seed cold store on the
           pre-update graph — the differential tests pin both claims.
-        * **Everything graph-shaped rolls over.**  The worker pool
-          (whose shared-memory CSR describes the old graph) is closed
-          and rebuilt, per-family samplers are rebuilt on the new
-          graph, KPT estimators and pagerank orders are dropped, and
-          stores are re-keyed by their updated probability vectors.
+        * **Everything graph-shaped rolls over.**  Per-family samplers
+          are rebuilt on the new graph, KPT estimators and pagerank
+          orders are dropped, and stores are re-keyed by their updated
+          probability vectors.
 
         Returns a JSON-able report (update counts, per-batch
         invalidation, resample provenance); cumulative counters appear
@@ -216,28 +201,6 @@ class AllocationSession:
         backend, workers = resolve_backend(
             self.spec.sampler_backend, self.spec.workers
         )
-
-        # The old pool's shared-memory CSR blocks describe the old
-        # graph; nothing on the new graph can reuse them.
-        if warm.pool is not None:
-            warm.pool.close()
-            warm.pool = None
-        if (
-            backend == "parallel"
-            and (workers or 0) > 1
-            and warm.stores
-            and not warm.pool_failed
-        ):
-            try:
-                warm.pool = SharedGraphPool(
-                    plan.new_graph,
-                    workers,
-                    counters=warm.counters,
-                    kernel=self.spec.kernel,
-                )
-            except WorkerCrashError:
-                warm.pool_failed = True
-                warm.counters["pool_degraded"] += 1
 
         checked = 0
         invalidated = 0
@@ -257,9 +220,6 @@ class AllocationSession:
                 new_probs,
                 backend,
                 workers=workers,
-                pool=warm.pool,
-                counters=warm.counters,
-                degraded=warm.pool_failed,
                 kernel=self.spec.kernel,
             )
             if warm.wrap_sampler is not None:
@@ -368,15 +328,6 @@ class AllocationSession:
         :class:`~repro.core.ti_engine.EngineWarmState`); the grid
         runner's warm mode snapshots these around each cell to record
         reuse provenance in its manifest rows.
-
-        The warm counters also carry the fault-tolerance provenance
-        (docs/ARCHITECTURE.md §11): ``worker_respawns`` and
-        ``shards_recovered`` count supervised recoveries inside this
-        session's :class:`~repro.rrset.backend.SharedGraphPool`, and
-        ``pool_degraded`` counts backends that fell back to in-process
-        sampling after the pool proved unrecoverable —
-        ``pool_degraded_state`` reports whether the session is
-        currently in that degraded mode.
         """
         stores = list(self._warm.stores.values())
         stored_sets = int(sum(int(g.store.size) for g in stores))
@@ -412,17 +363,13 @@ class AllocationSession:
             ),
             "spilled_stores": sum(1 for g in stores if g.store.spilled),
             "pagerank_orders": len(self._warm.pagerank_orders),
-            "pool_active": bool(
-                self._warm.pool is not None and not self._warm.pool.failed
-            ),
-            "pool_degraded_state": bool(self._warm.pool_failed),
         }
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the worker pool and drop all cached stores (idempotent)."""
+        """Close the samplers and drop all cached stores (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -430,9 +377,6 @@ class AllocationSession:
             group.sampler.close()
             if group.store is not None:
                 group.store.close()  # drops memmap spill files, if any
-        if self._warm.pool is not None:
-            self._warm.pool.close()
-            self._warm.pool = None
         self._warm.stores.clear()
         self._warm.pagerank_orders.clear()
 

@@ -76,8 +76,8 @@ def solve(
         candidates for any ad) — per-query data, not part of the spec.
     session:
         An :class:`~repro.api.session.AllocationSession` to solve
-        through; its warm caches (RR stores, pagerank orders, worker
-        pool) are used and extended.  Prefer calling
+        through; its warm caches (RR stores, KPT estimators, pagerank
+        orders) are used and extended.  Prefer calling
         ``session.solve(...)``, which validates the instance binding.
     rng:
         A pre-seeded generator (anything ``repro._rng.as_generator``

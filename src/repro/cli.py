@@ -483,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="RR sampler worker processes; > 1 selects the shared-memory "
-        "parallel backend, 0/1 the bit-reproducible serial one",
+        help="RR sampler worker threads; > 1 selects the thread-parallel "
+        "backend, 0/1 the bit-reproducible serial one",
     )
     common.add_argument(
         "--share-samples",
@@ -604,8 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="RR sampler worker processes for every cell (> 1 selects the "
-        "shared-memory parallel backend)",
+        help="RR sampler worker threads for every cell (> 1 selects the "
+        "thread-parallel backend)",
     )
     p.add_argument(
         "--share-samples",

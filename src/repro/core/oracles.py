@@ -23,7 +23,7 @@ from repro._rng import as_generator
 from repro.diffusion.montecarlo import estimate_spread
 from repro.diffusion.worlds import exact_spread
 from repro.errors import EstimationError
-from repro.rrset.backend import SharedGraphPool, make_backend, resolve_backend
+from repro.rrset.backend import make_backend
 from repro.rrset.collection import build_inverted_index
 from repro.core.instance import RMInstance
 
@@ -131,9 +131,7 @@ class RRStaticOracle(SpreadOracle):
     ) -> None:
         """*backend* / *workers* select the sampling backend (see
         :func:`repro.rrset.backend.make_backend`); the default is
-        bit-identical to the pre-seam oracle.  With the parallel backend
-        all ads draw through one worker pool, torn down before the
-        constructor returns."""
+        bit-identical to the pre-seam oracle."""
         super().__init__(instance)
         if n_samples < 1:
             raise EstimationError(f"n_samples must be positive, got {n_samples}")
@@ -143,29 +141,13 @@ class RRStaticOracle(SpreadOracle):
         # sampler's flat batch output.
         self._memberships: list[tuple[np.ndarray, np.ndarray]] = []
         n = instance.graph.n
-        backend, workers = resolve_backend(backend, workers)
-        pool = (
-            SharedGraphPool(instance.graph, workers)
-            if backend == "parallel" and workers > 1
-            else None
-        )
-        try:
-            for i in range(instance.h):
-                sampler = make_backend(
-                    instance.graph,
-                    instance.ad_probs[i],
-                    backend,
-                    workers=workers,
-                    pool=pool,
-                )
+        for i in range(instance.h):
+            with make_backend(
+                instance.graph, instance.ad_probs[i], backend, workers=workers
+            ) as sampler:
                 members, indptr = sampler.sample_batch_flat(n_samples, rng)
-                sids = np.repeat(
-                    np.arange(n_samples, dtype=np.int64), np.diff(indptr)
-                )
-                self._memberships.append(build_inverted_index(members, sids, n))
-        finally:
-            if pool is not None:
-                pool.close()
+            sids = np.repeat(np.arange(n_samples, dtype=np.int64), np.diff(indptr))
+            self._memberships.append(build_inverted_index(members, sids, n))
 
     def _spread_uncached(self, ad: int, seeds: frozenset) -> float:
         inv_indptr, inv_sets = self._memberships[ad]

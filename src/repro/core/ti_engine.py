@@ -58,12 +58,11 @@ Performance notes (flat data plane + lazy candidates):
   :class:`~repro.rrset.backend.SamplerBackend` (``sampler_backend=
   "serial" | "parallel"``, ``workers=N``; see docs/ARCHITECTURE.md).
   ``serial`` delegates to :meth:`RRSampler.sample_batch_flat` and is
-  bit-identical to the pre-seam engine; ``parallel`` fans each batch
-  over a shared-memory worker pool owned by the run (one pool serves
-  all ads) and is deterministic for a fixed ``(seed, workers)`` pair
-  but draws a different — equally valid — sample than serial.  Sets are
-  stored in flat CSR collections; all coverage maintenance is
-  vectorized.
+  bit-identical to the pre-seam engine; ``parallel`` splits each batch
+  into one shard per worker thread and is deterministic for a fixed
+  ``(seed, workers)`` pair but draws a different — equally valid —
+  sample than serial.  Sets are stored in flat CSR collections; all
+  coverage maintenance is vectorized.
   **RNG stream:** each batch draws all its roots in one vectorized
   ``rng.integers`` call before any arc coin is flipped, whereas the
   legacy sampler interleaved one root draw with each set's coin flips.
@@ -77,7 +76,7 @@ Performance notes (flat data plane + lazy candidates):
   registry-defined algorithm variants plug in without subclassing; an
   optional :class:`EngineWarmState` (normally owned by an
   :class:`~repro.api.session.AllocationSession`) carries prob-keyed RR
-  stores, pagerank orders and the worker pool *across* runs, so a warm
+  stores, KPT estimators and pagerank orders *across* runs, so a warm
   re-solve over the same graph and probabilities adopts already-drawn
   RR sets instead of resampling (valid because the RR distribution
   depends only on (graph, probs)); warm mode implies the shared-store
@@ -104,16 +103,9 @@ import time
 import numpy as np
 
 from repro._rng import as_generator, spawn
-from repro.errors import AllocationError, EstimationError, WorkerCrashError
+from repro.errors import AllocationError, EstimationError
 from repro.graph.pagerank import pagerank_order
-from repro.rrset.backend import (
-    FAULT_COUNTER_KEYS,
-    SamplerBackend,
-    SharedGraphPool,
-    make_backend,
-    new_fault_counters,
-    resolve_backend,
-)
+from repro.rrset.backend import SamplerBackend, make_backend, resolve_backend
 from repro.rrset.collection import SharedRRCollection, SharedRRStore
 from repro.rrset.kernels import resolve_kernel
 from repro.rrset.tim import DEFAULT_THETA_CAP, KPTEstimator, sample_size
@@ -184,9 +176,6 @@ class EngineWarmState:
       continuing the group's persisted RNG stream.
     * ``pagerank_orders`` — prob-content key → node ordering, so the
       PageRank baselines rank once per probability vector, not per run.
-    * ``pool`` — one :class:`SharedGraphPool` serving every parallel
-      solve of the session; the engine never closes it (the session
-      owns its lifecycle).
     * ``wrap_sampler`` — optional hook applied to each newly created
       sampler backend (sessions install a counting proxy here so reuse
       is observable).
@@ -197,25 +186,14 @@ class EngineWarmState:
       these through :attr:`~repro.api.session.AllocationSession.stats`,
       and the grid runner's warm mode records per-cell deltas in its
       manifest rows — so RR reuse is auditable provenance, not silent
-      behavior.  The same dict carries the fault-tolerance counters
-      (``worker_respawns`` / ``shards_recovered`` / ``pool_degraded``,
-      docs/ARCHITECTURE.md §11): it is handed to the session's
-      :class:`SharedGraphPool` and backends, which increment it in
-      place as they recover from or degrade around worker failures.
-    * ``pool_failed`` — set once pool infrastructure for this warm
-      state proved unusable (creation failed or the pool declared
-      itself unrecoverable); later solves go straight to degraded
-      in-process sampling instead of re-attempting a doomed pool.
+      behavior.
     """
 
     def __init__(self) -> None:
         self.stores: dict[bytes, _WarmGroup] = {}
         self.pagerank_orders: dict[bytes, np.ndarray] = {}
-        self.pool: SharedGraphPool | None = None
-        self.pool_failed = False
         self.wrap_sampler = None
         self.counters = {"store_hits": 0, "store_misses": 0}
-        self.counters.update(new_fault_counters())
 
 
 class _AdState:
@@ -324,8 +302,8 @@ class TIEngine:
         )
         # Sampling backend seam (normalized by resolve_backend above):
         # "serial" reproduces the bare RRSampler streams bit for bit;
-        # "parallel" (or workers > 1) fans batches over one
-        # SharedGraphPool shared by every ad of this run.
+        # "parallel" (or workers > 1) splits each batch into one shard
+        # per worker thread.
         self.sampler_backend = sampler_backend
         self.workers = workers
         # Batch-kernel seam (resolved: "numpy" or "numba") and per-store
@@ -334,13 +312,6 @@ class TIEngine:
         self.kernel = kernel
         self.rr_bytes_budget = (
             None if rr_bytes_budget is None else int(rr_bytes_budget)
-        )
-        self._pool: SharedGraphPool | None = None
-        self._pool_failed = False
-        # Recovery/degradation provenance: shared with the session's
-        # warm counters when warm, private to this run otherwise.
-        self._fault_counters = (
-            warm.counters if warm is not None else new_fault_counters()
         )
         self.blocked = None if blocked is None else np.asarray(blocked, dtype=bool)
         self.rng = as_generator(seed)
@@ -376,69 +347,18 @@ class TIEngine:
         return self.instance.ad_probs[ad].tobytes()
 
     def _make_sampler(self, ad: int) -> SamplerBackend:
-        """One backend per ad, all sharing this run's worker pool.
-
-        In warm mode the pool lives on the session's
-        :class:`EngineWarmState` (created on first parallel use, never
-        closed by the engine) and new backends pass through the state's
-        ``wrap_sampler`` hook.
-        """
-        inst = self.instance
-        if self.sampler_backend == "parallel" and self.workers > 1:
-            pool, degraded = self._acquire_pool()
-            sampler = make_backend(
-                inst.graph,
-                inst.ad_probs[ad],
-                "parallel",
-                workers=self.workers,
-                pool=pool,
-                counters=self._fault_counters,
-                degraded=degraded,
-                kernel=self.kernel,
-            )
-        else:
-            sampler = make_backend(
-                inst.graph,
-                inst.ad_probs[ad],
-                self.sampler_backend,
-                workers=self.workers,
-                kernel=self.kernel,
-            )
+        """One backend per ad; in warm mode it passes through the
+        :class:`EngineWarmState`'s ``wrap_sampler`` hook."""
+        sampler = make_backend(
+            self.instance.graph,
+            self.instance.ad_probs[ad],
+            self.sampler_backend,
+            workers=self.workers,
+            kernel=self.kernel,
+        )
         if self._warm is not None and self._warm.wrap_sampler is not None:
             sampler = self._warm.wrap_sampler(sampler)
         return sampler
-
-    def _acquire_pool(self) -> tuple[SharedGraphPool | None, bool]:
-        """The run's shared pool, or ``(None, True)`` once degraded.
-
-        The pool lives on the session's warm state in warm mode (the
-        session closes it) or on the engine otherwise (``run`` closes
-        it).  A pool that cannot be built — or that failed mid-run —
-        marks the holder degraded, so every later backend of this run
-        (or session) samples in-process without re-attempting the
-        broken infrastructure, and ``pool_degraded`` records the event.
-        """
-        warm = self._warm
-        pool = warm.pool if warm is not None else self._pool
-        failed = warm.pool_failed if warm is not None else self._pool_failed
-        if pool is not None and pool.failed:
-            pool, failed = None, True
-        if pool is None and not failed:
-            try:
-                pool = SharedGraphPool(
-                    self.instance.graph,
-                    self.workers,
-                    counters=self._fault_counters,
-                    kernel=self.kernel,
-                )
-            except WorkerCrashError:
-                failed = True
-                self._fault_counters["pool_degraded"] += 1
-        if warm is not None:
-            warm.pool, warm.pool_failed = pool, failed
-        else:
-            self._pool, self._pool_failed = pool, failed
-        return pool, failed
 
     def _init_states(self) -> None:
         inst = self.instance
@@ -649,27 +569,8 @@ class TIEngine:
     # Main loop (lines 5–22 of Algorithm 2)
     # ------------------------------------------------------------------
     def run(self) -> AllocationResult:
-        """Execute the configured algorithm; returns the allocation result.
-
-        When the parallel sampler backend is active the run owns one
-        :class:`SharedGraphPool` (workers + shared-memory CSR blocks);
-        it is torn down before this method returns, success or not —
-        unless the engine runs against an :class:`EngineWarmState`, in
-        which case the pool belongs to the session and survives for the
-        next solve.
-        """
-        try:
-            return self._run()
-        finally:
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
-
-    def _run(self) -> AllocationResult:
+        """Execute the configured algorithm; returns the allocation result."""
         start = time.perf_counter()
-        fault_before = {
-            key: self._fault_counters.get(key, 0) for key in FAULT_COUNTER_KEYS
-        }
         inst = self.instance
         h = inst.h
         self._init_states()
@@ -768,17 +669,6 @@ class TIEngine:
                 # narrowed-dtype member bytes, spill state and the
                 # per-set cost the manifest rows surface.
                 "memory": memory_block,
-                # Recovery/degradation this run actually saw (deltas, so
-                # warm sessions don't bleed earlier solves' events in).
-                "fault_counters": {
-                    key: self._fault_counters.get(key, 0) - fault_before[key]
-                    for key in FAULT_COUNTER_KEYS
-                },
-                "degraded": (
-                    self._fault_counters.get("pool_degraded", 0)
-                    - fault_before["pool_degraded"]
-                )
-                > 0,
             },
         )
 

@@ -51,29 +51,6 @@ class ConvergenceError(ReproError):
     """Raised when an iterative routine fails to converge."""
 
 
-class WorkerCrashError(EstimationError):
-    """Raised when a sampler worker process (or its shared-memory
-    infrastructure) fails: a crashed/hung worker, or a shared-memory
-    segment that cannot be created or attached.
-
-    Subclasses :class:`EstimationError` so existing backend error
-    handling keeps working; the supervision layer in
-    :mod:`repro.rrset.backend` normally recovers from it (bounded
-    respawn) before callers ever see it.
-    """
-
-
-class PoolDegradedError(EstimationError):
-    """Raised by a :class:`~repro.rrset.backend.SharedGraphPool` that has
-    exhausted its respawn budget and shut itself down.
-
-    :class:`~repro.rrset.backend.ParallelBackend` catches this and
-    degrades to in-process execution of the same shard plan (bit-identical
-    output per ``(seed, workers)``), recording the degradation in its
-    fault counters.
-    """
-
-
 class CellTimeoutError(ReproError):
     """Raised when a grid cell exceeds its per-cell wall-clock timeout."""
 

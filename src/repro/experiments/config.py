@@ -38,8 +38,8 @@ class ExperimentConfig:
     # Base RNG seed for everything derived from this config.
     seed: int = 7
     # RR sampling backend seam (docs/ARCHITECTURE.md): "serial" is
-    # bit-identical to the bare sampler; "parallel" fans batches over a
-    # shared-memory worker pool.  workers = 0 means "backend default"
+    # bit-identical to the bare sampler; "parallel" splits each batch
+    # into one shard per worker thread.  workers = 0 means "backend default"
     # (serial stays in-process; parallel uses the machine's CPU count);
     # any workers > 1 upgrades "serial" to "parallel".
     sampler_backend: str = "serial"

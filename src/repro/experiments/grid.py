@@ -18,7 +18,7 @@ windows — and :func:`run_grid` runs the full cross product:
   spec or different config fails loudly instead of mixing results.
 
 * **Backend threading.**  The spec's ``config`` block (or CLI
-  ``--workers``) selects the serial / shared-memory-parallel RR sampling
+  ``--workers``) selects the serial / thread-parallel RR sampling
   backend for every cell, exactly as in single runs.
 
 * **Execution modes (docs/ARCHITECTURE.md §10).**  The optional
@@ -45,7 +45,7 @@ windows — and :func:`run_grid` runs the full cross product:
   attempts is *quarantined* — written to the manifest as a typed
   ``"cell_error"`` row — instead of aborting the grid, and resume
   re-attempts quarantined cells.  In warm mode a failing cell's
-  session group is torn down (pool included) before the retry, so a
+  session group is torn down before the retry, so a
   poisoned :class:`~repro.api.session.AllocationSession` is never
   reused and never leaks.
 
@@ -521,9 +521,8 @@ class WarmSessionGroups:
     touch one dataset opens one session, a fully resumed run opens
     none), keyed by :func:`session_group_key`, and every session is
     closed when the instance exits — including on a crashed cell, so an
-    aborted warm run never orphans a
-    :class:`~repro.rrset.backend.SharedGraphPool` or its shared-memory
-    blocks.  ``run_grid`` additionally closes each group as soon as its
+    aborted warm run never orphans a session's stores or spill files.
+    ``run_grid`` additionally closes each group as soon as its
     last pending cell finishes, bounding peak memory to one dataset's
     stores at a time.
 
@@ -875,8 +874,8 @@ def _run_cell_with_retries(
 
     Each attempt runs under the per-cell deadline; a failing attempt in
     warm mode first tears down the cell's session group (closing its
-    :class:`~repro.api.session.AllocationSession` and worker pool — a
-    poisoned session is never reused and never orphans its pool), then
+    :class:`~repro.api.session.AllocationSession` — a poisoned session
+    is never reused and never orphans its stores), then
     backs off exponentially and retries.  After ``1 + max_retries``
     failed attempts the cell is quarantined: a typed error row is
     returned (and written to the manifest) instead of aborting the

@@ -1,23 +1,14 @@
 """Deterministic fault injection for chaos testing.
 
-Long-running execution (warm sessions, grid sweeps, the future serving
-layer) has to survive crashed workers, failed shared-memory attaches
-and pathological cells.  Testing those paths with real resource
+Long-running execution (grid sweeps, the serving layer, live graph
+updates) has to survive failing cells, rejected or slow queries and
+interrupted mutations.  Testing those paths with real resource
 exhaustion is flaky by construction, so this module provides a seeded
 :class:`FaultPlan` that fires *reproducible* faults at named seams:
 
 ======================  ================================================
 seam                    fired by
 ======================  ================================================
-``worker.kill``         :meth:`SharedGraphPool.sample_shards` at shard
-                        dispatch — the tagged shard's worker exits
-                        mid-batch (``os._exit``) instead of returning.
-``shard.delay``         same dispatch point — the tagged shard sleeps
-                        ``delay_s`` seconds in the worker before
-                        sampling (trips the heartbeat supervisor).
-``shm.attach``          ``SharedGraphPool._create_block`` — the
-                        shared-memory create/attach raises
-                        :class:`~repro.errors.WorkerCrashError`.
 ``cell.raise``          :func:`repro.experiments.grid.run_grid` just
                         before a cell solves — the cell raises
                         :class:`~repro.errors.FaultInjectedError`.
@@ -33,7 +24,7 @@ seam                    fired by
                         between invalidation and resampling — the
                         session sleeps ``delay_s`` seconds with the
                         store partially rewritten, widening the window
-                        chaos tests use to crash workers mid-mutation.
+                        in which chaos tests interrupt a mutation.
 ======================  ================================================
 
 Rules fire either on deterministic arrival ordinals (``at`` /
@@ -48,11 +39,10 @@ Usage::
 
     from repro.faults import FaultPlan, FaultRule, fault_plan
 
-    plan = FaultPlan([FaultRule(seam="worker.kill", at=0)], seed=3)
+    plan = FaultPlan([FaultRule(seam="cell.raise", at=0)], seed=3)
     with fault_plan(plan):
-        backend.sample_batch_flat(5_000, rng)   # shard 0's worker dies,
-                                                # is respawned, output is
-                                                # bit-identical anyway
+        run_grid(spec, manifest)   # the first cell raises and is
+                                   # quarantined; a resume re-runs it
 """
 
 from __future__ import annotations
@@ -68,9 +58,6 @@ from repro.errors import FaultInjectedError, SpecError
 
 #: The named seams a rule may target (see the module docstring).
 SEAMS = (
-    "worker.kill",
-    "shard.delay",
-    "shm.attach",
     "cell.raise",
     "cell.delay",
     "serve.reject",

@@ -12,7 +12,6 @@ from repro.rrset.backend import (
     ParallelBackend,
     SamplerBackend,
     SerialBackend,
-    SharedGraphPool,
     make_backend,
     resolve_backend,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "SamplerBackend",
     "SerialBackend",
     "ParallelBackend",
-    "SharedGraphPool",
     "make_backend",
     "resolve_backend",
     "RRCollection",

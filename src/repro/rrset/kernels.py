@@ -109,7 +109,7 @@ def resolve_batch_kernel(kernel: str | None):
     return sample_batch_flat_kernel
 
 
-@njit(cache=True)
+@njit(cache=True, nogil=True)
 def _gather_level_probs(in_indptr, probs_in, fnodes):  # pragma: no cover
     """Arc probabilities of one BFS level, in the numpy kernel's order.
 
@@ -132,7 +132,7 @@ def _gather_level_probs(in_indptr, probs_in, fnodes):  # pragma: no cover
     return out
 
 
-@njit(cache=True)
+@njit(cache=True, nogil=True)
 def _advance_frontier(
     n, in_indptr, in_tails, fnodes, fsets, flips, visited
 ):  # pragma: no cover
@@ -183,8 +183,9 @@ def sample_batch_flat_kernel_numba(
     bit-identity contract extends to the pinned-root resample path.
     JIT compilation happens once per process on first use
     (``cache=True`` persists it across processes sharing a
-    ``__pycache__``), which is how :class:`SharedGraphPool` workers pick
-    the kernel up: each worker resolves the seam once at startup.
+    ``__pycache__``).  Both compiled helpers release the GIL
+    (``nogil=True``), so :class:`~repro.rrset.backend.ParallelBackend`
+    shards running on threads overlap inside them.
     """
     from repro.rrset.sampler import DEFAULT_CHUNK_BYTES, batch_chunk_size
 

@@ -125,8 +125,8 @@ def sample_batch_flat_kernel(
     :meth:`RRSampler.sample_batch_flat`: it takes the reverse-adjacency
     CSR directly (``in_indptr``: ``int64[n + 1]``, ``in_tails``:
     ``int64[m]``, ``probs_in``: ``float64[m]`` in in-CSR slot order) so
-    parallel workers can run it over ``multiprocessing.shared_memory``
-    views without constructing a :class:`DiGraph`.  Inputs are assumed
+    :class:`~repro.rrset.backend.ParallelBackend` shards can run it on
+    threads over one graph's arrays.  Inputs are assumed
     validated; ``rng`` must be a ready :class:`numpy.random.Generator`.
 
     *roots*, when given, pins the root node of each set (``int64``-like,
@@ -312,8 +312,8 @@ class RRSampler:
         stream but realizes the same lazy-arc distribution; seeded runs
         are fully deterministic.  The actual work happens in
         :func:`sample_batch_flat_kernel` (or its bit-identical numba
-        twin, per the ``kernel`` seam), which parallel workers invoke
-        directly over shared-memory CSR views.
+        twin, per the ``kernel`` seam), which parallel shards invoke
+        directly over the graph's in-CSR arrays.
 
         *roots*, when given, pins each set's root and skips the root
         draw entirely (the stream then starts at the first coin-flip

@@ -5,8 +5,8 @@ cost per invocation or per sweep; this package turns the same engine
 into a long-running daemon that keeps
 :class:`~repro.api.session.AllocationSession` objects warm *across*
 requests, so repeated queries over the same ``(dataset, probability
-family)`` reuse RR sets, KPT estimates and worker pools they already
-paid for.  See docs/ARCHITECTURE.md §13 for the design contracts
+family)`` reuse RR sets, KPT estimates and pagerank orders they
+already paid for.  See docs/ARCHITECTURE.md §13 for the design contracts
 (pool keying, admission/backpressure, LRU eviction, drain).
 
 Layout:

@@ -4,7 +4,7 @@
 A :class:`SessionPool` maps :func:`repro.serve.schema.pool_key` — the
 ``(dataset, probability family)`` identity of a query — to one live
 session, so every query over the same graph + probs rides the same RR
-stores, KPT estimators, pagerank orders and worker pool.  It makes the
+stores, KPT estimators and pagerank orders.  It makes the
 three service decisions the batch runners never had to:
 
 * **Warm routing.**  :meth:`lease` returns the key's existing session
@@ -19,7 +19,7 @@ three service decisions the batch runners never had to:
   that just served, so the active family always stays warm.
 * **Lifecycle.**  :meth:`close` closes every session (idempotent, and
   what the server's drain path calls), so a clean shutdown leaves no
-  ``SharedGraphPool`` shared-memory segments behind; a failed query's
+  spill files behind; a failed query's
   session is :meth:`discard`-ed rather than reused (the PR 6 rule: a
   poisoned session's state is unknown — tear it down, the next query
   reopens cold).

@@ -18,9 +18,9 @@ A :class:`ReproServer` is two cooperating halves over one
   solve.  One solver is not an implementation shortcut: sessions are
   one-solve-at-a-time objects (live RR stores, persisted RNG streams),
   so compatible queries *must* serialize onto their shared session —
-  the queue is that serialization point, and cross-family parallelism
-  belongs to the per-session worker pools, not to concurrent solver
-  threads.
+  the queue is that serialization point, and parallelism belongs to
+  each session's sampler backend (``workers``), not to concurrent
+  solver threads.
 
 **Determinism.**  A query's result depends only on
 ``(dataset entry, query axes, effective seed, daemon config)`` — never
@@ -40,9 +40,8 @@ discarded, never reused (the quarantine rule).
 **Drain.**  ``SIGTERM``/``SIGINT`` (or :meth:`begin_drain`) flips the
 server to draining: new queries get 503, queued queries finish, then
 the HTTP server closes and every pooled session is closed through its
-normal lifecycle — no orphaned ``SharedGraphPool`` shared-memory
-segments, which is the whole point of owning shutdown instead of
-letting the process die mid-solve.
+normal lifecycle — no orphaned spill files, which is the whole point
+of owning shutdown instead of letting the process die mid-solve.
 
 Fault seams (:mod:`repro.faults`): ``serve.reject`` forces admission
 rejections, ``serve.delay`` stalls the solver loop — both deterministic
@@ -129,6 +128,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
     repro_server: "ReproServer" = None  # type: ignore[assignment]
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: ``_write`` sends headers and body as two writes; with Nagle on, a
+    #: keep-alive response then waits out the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging goes through /stats counters, not stderr
@@ -479,9 +481,8 @@ class ReproServer:
         """Stop the frontend, flush the queue, close every session.
 
         Idempotent; also safe when :meth:`start` never ran (tests that
-        drive :meth:`submit` directly).  After this returns the pool is
-        closed — i.e. zero live ``SharedGraphPool`` segments — and the
-        listening socket is released.
+        drive :meth:`submit` directly).  After this returns the session
+        pool is closed and the listening socket is released.
         """
         if self._shutdown_done:
             return

@@ -3,15 +3,12 @@
 Exercises the fault-tolerance contract of docs/ARCHITECTURE.md §11 with
 :mod:`repro.faults` plans instead of real resource exhaustion:
 
-* a worker killed mid-batch is respawned and the batch's output stays
-  bit-identical per ``(seed, workers)``;
-* a pool past its respawn budget — or whose shared memory cannot be
-  created — degrades the backend to in-process execution of the same
-  shard plan, still bit-identical;
-* a hung worker (injected shard delay) trips the heartbeat supervisor;
+* fault plans fire deterministically (ordinal windows, keys, seeded
+  Bernoulli draws) and install/restore as scoped context;
 * grid cells that raise or time out are quarantined as typed manifest
   rows, retried with backoff, and re-attempted on resume;
-* a poisoned warm session group is torn down without leaking its pool.
+* a poisoned warm session group is torn down without leaking sampler
+  threads.
 
 The worker count honours ``REPRO_TEST_WORKERS`` (default 2), as in
 ``test_rrset_backend.py``.
@@ -21,20 +18,11 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
+import threading
 
-import numpy as np
 import pytest
 
-from repro.errors import (
-    CellTimeoutError,
-    EstimationError,
-    FaultInjectedError,
-    PoolDegradedError,
-    SpecError,
-    WorkerCrashError,
-)
+from repro.errors import CellTimeoutError, FaultInjectedError, SpecError
 from repro.experiments.grid import (
     GridSpec,
     clear_grid_caches,
@@ -48,18 +36,11 @@ from repro.faults import (
     fault_plan,
     install_fault_plan,
 )
-from repro.graph.generators import powerlaw_configuration
-from repro.rrset import backend as backend_module
-from repro.rrset.backend import (
-    FAULT_COUNTER_KEYS,
-    ParallelBackend,
-    SharedGraphPool,
-    reap_orphan_shm,
-)
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2") or 2)
-#: Chaos tests need a real pool, so never fewer than two workers.
-POOL_WORKERS = max(WORKERS, 2)
+#: The warm-group test needs a multi-shard backend, so never fewer
+#: than two workers.
+PARALLEL_WORKERS = max(WORKERS, 2)
 
 GRID = {
     "name": "chaos",
@@ -82,13 +63,6 @@ def _clean_state():
     clear_grid_caches()
 
 
-@pytest.fixture(scope="module")
-def mid_graph():
-    g = powerlaw_configuration(300, mean_degree=5.0, exponent=2.2, seed=5)
-    probs = np.random.default_rng(5).random(g.m) * 0.3
-    return g, probs
-
-
 def _strip(row: dict) -> dict:
     return {k: v for k, v in row.items() if k != "runtime_s"}
 
@@ -107,9 +81,9 @@ class TestFaultPlan:
         with pytest.raises(SpecError, match="probability"):
             FaultRule(seam="cell.raise", probability=1.5)
         with pytest.raises(SpecError, match="delay_s"):
-            FaultRule(seam="shard.delay", delay_s=-1.0)
+            FaultRule(seam="cell.delay", delay_s=-1.0)
         with pytest.raises(SpecError, match="must be FaultRule"):
-            FaultPlan(["worker.kill"])
+            FaultPlan(["cell.raise"])
 
     def test_ordinal_window(self):
         plan = FaultPlan([FaultRule(seam="cell.raise", at=1, count=2)])
@@ -157,194 +131,6 @@ class TestFaultPlan:
         assert active_fault_plan() is None
         with pytest.raises(SpecError, match="FaultPlan"):
             install_fault_plan("not a plan")
-
-
-# ----------------------------------------------------------------------
-# Worker supervision
-# ----------------------------------------------------------------------
-class TestWorkerSupervision:
-    def _healthy(self, mid_graph, count=400, seed=21):
-        g, probs = mid_graph
-        with ParallelBackend(g, probs, workers=POOL_WORKERS) as backend:
-            return backend.sample_batch_flat(count, np.random.default_rng(seed))
-
-    def test_killed_worker_respawns_bit_identically(self, mid_graph):
-        g, probs = mid_graph
-        reference = self._healthy(mid_graph)
-        plan = FaultPlan([FaultRule(seam="worker.kill", at=0)])
-        with ParallelBackend(
-            g, probs, workers=POOL_WORKERS, faults=plan
-        ) as backend:
-            out = backend.sample_batch_flat(400, np.random.default_rng(21))
-            assert not backend.degraded
-            assert backend.fault_counters["worker_respawns"] >= 1
-            assert backend.fault_counters["shards_recovered"] >= 1
-            assert backend.fault_counters["pool_degraded"] == 0
-        assert plan.stats["worker.kill"]["fired"] == 1
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
-
-    def test_respawn_budget_exhaustion_degrades_bit_identically(self, mid_graph):
-        g, probs = mid_graph
-        reference = self._healthy(mid_graph)
-        # Every dispatched shard is killed, so the pool burns through its
-        # respawn budget and must declare itself unrecoverable.
-        plan = FaultPlan([FaultRule(seam="worker.kill", at=0, count=10_000)])
-        with ParallelBackend(
-            g, probs, workers=POOL_WORKERS, faults=plan
-        ) as backend:
-            out = backend.sample_batch_flat(400, np.random.default_rng(21))
-            assert backend.degraded
-            assert backend.fault_counters["pool_degraded"] == 1
-            # Degraded mode keeps working (and stays deterministic).
-            again = backend.sample_batch_flat(400, np.random.default_rng(21))
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
-        assert np.array_equal(out[0], again[0])
-
-    def test_failed_pool_raises_for_other_users(self, mid_graph):
-        g, probs = mid_graph
-        plan = FaultPlan([FaultRule(seam="worker.kill", at=0, count=10_000)])
-        pool = SharedGraphPool(
-            g, POOL_WORKERS, max_respawns=POOL_WORKERS, faults=plan
-        )
-        try:
-            name = pool.register_probs(probs)
-            seqs = np.random.SeedSequence(1).spawn(2)
-            with pytest.raises(PoolDegradedError):
-                pool.sample_shards(name, [5, 5], seqs)
-            assert pool.failed
-            # A failed pool refuses new batches instead of hanging.
-            with pytest.raises(PoolDegradedError):
-                pool.sample_shards(name, [5, 5], seqs)
-        finally:
-            pool.close()
-
-    def test_shm_attach_failure_degrades_to_serial_plan(self, mid_graph):
-        g, probs = mid_graph
-        reference = self._healthy(mid_graph)
-        plan = FaultPlan([FaultRule(seam="shm.attach", at=0)])
-        with ParallelBackend(
-            g, probs, workers=POOL_WORKERS, faults=plan
-        ) as backend:
-            assert backend.degraded
-            assert backend.fault_counters["pool_degraded"] == 1
-            out = backend.sample_batch_flat(400, np.random.default_rng(21))
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
-
-    def test_hung_worker_trips_heartbeat(self, mid_graph):
-        g, probs = mid_graph
-        reference = self._healthy(mid_graph)
-        plan = FaultPlan([FaultRule(seam="shard.delay", at=0, delay_s=5.0)])
-        pool = SharedGraphPool(
-            g,
-            POOL_WORKERS,
-            heartbeat_s=0.4,
-            poll_s=0.1,
-            faults=plan,
-        )
-        try:
-            backend = ParallelBackend(g, probs, pool=pool)
-            out = backend.sample_batch_flat(400, np.random.default_rng(21))
-            assert pool.counters["worker_respawns"] >= POOL_WORKERS
-            assert not backend.degraded
-        finally:
-            pool.close()
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
-
-    def test_killed_worker_recovery_is_kernel_agnostic(self, mid_graph):
-        # Recovery must stay bit-identical across the kernel seam: a
-        # numba-kernel pool that loses a worker mid-batch still matches
-        # the healthy numpy-kernel reference exactly (the shard plan,
-        # not the kernel or the process topology, defines the streams).
-        g, probs = mid_graph
-        reference = self._healthy(mid_graph)
-        plan = FaultPlan([FaultRule(seam="worker.kill", at=0)])
-        with ParallelBackend(
-            g, probs, workers=POOL_WORKERS, faults=plan, kernel="numba"
-        ) as backend:
-            out = backend.sample_batch_flat(400, np.random.default_rng(21))
-            assert not backend.degraded
-            assert backend.fault_counters["worker_respawns"] >= 1
-        assert plan.stats["worker.kill"]["fired"] == 1
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
-
-    def test_hung_worker_recovery_is_kernel_agnostic(self, mid_graph):
-        g, probs = mid_graph
-        reference = self._healthy(mid_graph)
-        plan = FaultPlan([FaultRule(seam="shard.delay", at=0, delay_s=5.0)])
-        pool = SharedGraphPool(
-            g,
-            POOL_WORKERS,
-            heartbeat_s=0.4,
-            poll_s=0.1,
-            faults=plan,
-            kernel="numba",
-        )
-        try:
-            backend = ParallelBackend(g, probs, pool=pool, kernel="numba")
-            out = backend.sample_batch_flat(400, np.random.default_rng(21))
-            assert pool.counters["worker_respawns"] >= POOL_WORKERS
-            assert not backend.degraded
-        finally:
-            pool.close()
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
-
-    def test_pool_kernel_mismatch_rejected(self, mid_graph):
-        g, probs = mid_graph
-        pool = SharedGraphPool(g, POOL_WORKERS, kernel="numpy")
-        try:
-            with pytest.raises(EstimationError, match="one kernel"):
-                ParallelBackend(g, probs, pool=pool, kernel="numba")
-        finally:
-            pool.close()
-
-    def test_degraded_backend_close_is_idempotent(self, mid_graph):
-        g, probs = mid_graph
-        plan = FaultPlan([FaultRule(seam="shm.attach", at=0)])
-        backend = ParallelBackend(g, probs, workers=POOL_WORKERS, faults=plan)
-        assert backend.degraded
-        backend.close()
-        backend.close()
-
-    def test_session_stats_surface_fault_counters(self, mid_graph):
-        from repro.api.session import AllocationSession
-
-        g, _ = mid_graph
-        with AllocationSession(g) as session:
-            stats = session.stats
-            for key in FAULT_COUNTER_KEYS:
-                assert stats[key] == 0
-            assert stats["pool_degraded_state"] is False
-
-
-class TestOrphanReaper:
-    def test_reaps_dead_pid_segments_only(self, tmp_path):
-        dead_pid = int(
-            subprocess.run(
-                [sys.executable, "-c", "import os; print(os.getpid())"],
-                capture_output=True,
-                text=True,
-                check=True,
-            ).stdout
-        )
-        orphan = f"repro_{dead_pid}_0_abcd1234"
-        live = f"repro_{os.getpid()}_0_abcd1234"
-        unrelated = "psm_something_else"
-        for name in (orphan, live, unrelated):
-            (tmp_path / name).write_bytes(b"x")
-        reaped = reap_orphan_shm(directory=str(tmp_path))
-        assert reaped == [orphan]
-        assert not (tmp_path / orphan).exists()
-        assert (tmp_path / live).exists()
-        assert (tmp_path / unrelated).exists()
-
-    def test_missing_directory_is_noop(self, tmp_path):
-        assert reap_orphan_shm(directory=str(tmp_path / "nope")) == []
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +234,7 @@ class TestGridQuarantine:
     def test_warm_group_poisoning_reopens_session_without_leaks(self, tmp_path):
         spec = GridSpec.from_dict(GRID)
         target = spec.cells()[0].cell_id
-        pools_before = set(backend_module._LIVE_POOLS)
+        threads_before = threading.active_count()
         plan = FaultPlan([FaultRule(seam="cell.raise", key=target, at=0)])
         with fault_plan(plan):
             rows = run_grid(
@@ -456,7 +242,7 @@ class TestGridQuarantine:
                 str(tmp_path / "warm.jsonl"),
                 execution="warm_per_dataset",
                 config_overrides={
-                    "workers": POOL_WORKERS,
+                    "workers": PARALLEL_WORKERS,
                     "sampler_backend": "parallel",
                 },
                 max_retries=1,
@@ -467,8 +253,8 @@ class TestGridQuarantine:
         # The poisoned group was torn down and reopened: the retried
         # cell ran in a *fresh* session (solve_index restarts at 0).
         assert rows[0]["session"]["solve_index"] == 0
-        # No worker pool leaked past its session's teardown.
-        assert set(backend_module._LIVE_POOLS) <= pools_before
+        # No sampler thread outlived its session's teardown.
+        assert threading.active_count() <= threads_before
 
     def test_cell_timeout_error_importable_from_repro(self):
         import repro

@@ -336,9 +336,8 @@ class TestCrashedCellCleanup:
     def test_crash_does_not_orphan_shared_graph_pool(
         self, tmp_path, recorded_sessions, boom_algorithm
     ):
-        # The parallel backend puts the graph into multiprocessing
-        # shared memory (SharedGraphPool) owned by the group's session;
-        # the crash path must tear it down.
+        # A parallel-backend session owns per-family samplers and RR
+        # stores; the crash path must close the session and drop them.
         spec = GridSpec.from_dict(
             {
                 **WARM,
@@ -355,7 +354,7 @@ class TestCrashedCellCleanup:
         assert recorded_sessions
         for session in recorded_sessions:
             assert session._closed
-            assert session._warm.pool is None  # pool closed, not orphaned
+            assert not session._warm.stores  # samplers closed, stores dropped
 
     def test_manifest_keeps_completed_cells_next_to_quarantined_ones(
         self, tmp_path, boom_algorithm

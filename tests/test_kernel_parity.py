@@ -17,7 +17,7 @@ layers of evidence:
 4. a subprocess import guard proving ``import repro`` (and the numba
    kernel spelling itself) works with numba blocked from importing.
 
-Heavier sweeps and real-pool runs carry ``@pytest.mark.slow`` (excluded
+Heavier sweeps and multi-shard engine runs carry ``@pytest.mark.slow`` (excluded
 by default; CI's kernel-parity job runs ``-m "slow or not slow"``).
 """
 
@@ -164,15 +164,10 @@ class TestPropertyParity:
     def test_workers_shard_merge_bit_identity(
         self, n, graph_seed, seed, count, workers
     ):
-        # degraded=True executes the exact worker shard plan in-process
-        # (same per-shard streams, same merge) without process spawns,
-        # keeping the sweep fast; a real pool run is pinned below.
         g, probs = _er_graph(n, 0.3, graph_seed, graph_seed + 1)
         outs = {}
         for kernel in ("numpy", "numba"):
-            with ParallelBackend(
-                g, probs, workers=workers, degraded=True, kernel=kernel
-            ) as b:
+            with ParallelBackend(g, probs, workers=workers, kernel=kernel) as b:
                 outs[kernel] = b.sample_batch_flat(
                     count, np.random.default_rng(seed)
                 )
@@ -180,7 +175,7 @@ class TestPropertyParity:
         np.testing.assert_array_equal(outs["numpy"][1], outs["numba"][1])
 
     @pytest.mark.slow
-    def test_real_pool_workers2_bit_identity(self):
+    def test_threaded_workers2_bit_identity(self):
         g, probs = _er_graph(200, 0.05, 9, 10, scale=0.4)
         outs = {}
         for kernel in ("numpy", "numba"):
@@ -188,7 +183,6 @@ class TestPropertyParity:
                 outs[kernel] = b.sample_batch_flat(
                     300, np.random.default_rng(33)
                 )
-                assert not b.degraded
         np.testing.assert_array_equal(outs["numpy"][0], outs["numba"][0])
         np.testing.assert_array_equal(outs["numpy"][1], outs["numba"][1])
 
@@ -321,7 +315,7 @@ class TestGoldenAllocations:
     ):
         # The parallel backend consumes a *different* documented stream
         # (shard plan) than serial, so it gets its own invariant: both
-        # kernels agree with each other, exactly, through a real pool.
+        # kernels agree with each other, exactly, through threaded shards.
         inst, opt_lower = golden_instance
         spec = _golden_spec(
             opt_lower, kernel=kernel, sampler_backend="parallel", workers=2

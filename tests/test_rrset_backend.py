@@ -4,19 +4,23 @@ Covers the RNG-stream contract of ``repro.rrset.backend``:
 
 * ``SerialBackend`` is bit-identical to the bare ``RRSampler``;
 * ``ParallelBackend(workers=1)`` is bit-identical to serial;
-* parallel output is reproducible for a fixed ``(seed, workers)`` pair;
-* the pool's shard merge equals a single-process run of the same shard
-  plan (hypothesis-generated graphs);
+* parallel output is reproducible for a fixed ``(seed, workers)`` pair
+  and pinned by sha256 goldens, whatever the shard executor;
+* the threaded shard merge equals a plain sequential loop over the same
+  shard plan (hypothesis-generated graphs);
+* a shard's exception reaches the caller unchanged;
 * the seam threads through the engine, the static oracle and the
   singleton-spread pricer without changing semantics.
 
-The worker count for the cross-process tests honours
+The worker count for the multi-shard tests honours
 ``REPRO_TEST_WORKERS`` (default 2) so CI can pin it explicitly.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +32,6 @@ from repro.graph.generators import powerlaw_configuration
 from repro.rrset.backend import (
     ParallelBackend,
     SerialBackend,
-    SharedGraphPool,
     default_workers,
     make_backend,
     merge_shards,
@@ -45,14 +48,6 @@ def mid_graph():
     g = powerlaw_configuration(400, mean_degree=6.0, exponent=2.2, seed=5)
     probs = np.random.default_rng(5).random(g.m) * 0.3
     return g, probs
-
-
-@pytest.fixture(scope="module")
-def shared_pool(mid_graph):
-    g, _ = mid_graph
-    pool = SharedGraphPool(g, WORKERS)
-    yield pool
-    pool.close()
 
 
 def graphs(max_n: int = 12):
@@ -82,6 +77,23 @@ def graphs(max_n: int = 12):
         return g, np.asarray(probs, dtype=np.float64)
 
     return _graph()
+
+
+def _sequential_plan(g, probs, count, seed, workers):
+    """The shard plan of ``ParallelBackend(workers=...)`` run as a plain
+    loop: one ``rng.integers`` draw, spawned shard streams, the numpy
+    kernel per shard, merged in shard order."""
+    rng = np.random.default_rng(seed)
+    counts = shard_counts(count, workers)
+    root = np.random.SeedSequence(int(rng.integers(0, 2**63 - 1)))
+    probs_in = RRSampler(g, probs).probs_in
+    parts = [
+        sample_batch_flat_kernel(
+            g.n, g.in_indptr, g.in_tails, probs_in, c, np.random.default_rng(seq)
+        )
+        for c, seq in zip(counts, root.spawn(len(counts)))
+    ]
+    return merge_shards(parts)
 
 
 class TestShardPlan:
@@ -138,69 +150,71 @@ class TestSerialBitIdentity:
 
 
 class TestParallelParity:
-    def test_same_seed_same_workers_reproducible(self, mid_graph, shared_pool):
+    def test_same_seed_same_workers_reproducible(self, mid_graph):
         g, probs = mid_graph
-        backend = ParallelBackend(g, probs, pool=shared_pool)
+        backend = ParallelBackend(g, probs, workers=WORKERS)
         a = backend.sample_batch_flat(500, np.random.default_rng(21))
         b = backend.sample_batch_flat(500, np.random.default_rng(21))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    def test_pool_merge_equals_single_process_plan(self, mid_graph, shared_pool):
-        """The pooled result must equal running the identical shard plan
-        (same shard sizes, same spawned SeedSequences) in-process."""
+    def test_pool_merge_equals_single_process_plan(self, mid_graph):
+        """The threaded result must equal a plain sequential loop over the
+        identical shard plan (same shard sizes, same spawned
+        SeedSequences)."""
         g, probs = mid_graph
-        backend = ParallelBackend(g, probs, pool=shared_pool)
-        count = 500
-        pooled = backend.sample_batch_flat(count, np.random.default_rng(33))
+        backend = ParallelBackend(g, probs, workers=WORKERS)
+        threaded = backend.sample_batch_flat(500, np.random.default_rng(33))
+        ref = _sequential_plan(g, probs, 500, 33, WORKERS)
+        assert np.array_equal(threaded[0], ref[0])
+        assert np.array_equal(threaded[1], ref[1])
 
-        rng = np.random.default_rng(33)
-        counts = shard_counts(count, shared_pool.workers)
-        root = np.random.SeedSequence(int(rng.integers(0, 2**63 - 1)))
-        sampler = RRSampler(g, probs)
-        parts = [
-            sample_batch_flat_kernel(
-                g.n,
-                g.in_indptr,
-                g.in_tails,
-                sampler.probs_in,
-                c,
-                np.random.default_rng(seq),
-            )
-            for c, seq in zip(counts, root.spawn(len(counts)))
-        ]
-        ref = merge_shards(parts)
-        assert np.array_equal(pooled[0], ref[0])
-        assert np.array_equal(pooled[1], ref[1])
-
-    def test_parallel_output_is_valid_csr(self, mid_graph, shared_pool):
+    def test_oversubscribed_threads_with_fast_switching(self, mid_graph):
+        """More shards than cores, with the interpreter switching threads
+        every microsecond: shards share only read-only graph arrays, so
+        the output must still equal the sequential plan."""
         g, probs = mid_graph
-        backend = ParallelBackend(g, probs, pool=shared_pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ParallelBackend(g, probs, workers=8) as backend:
+                threaded = backend.sample_batch_flat(
+                    2000, np.random.default_rng(44)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        ref = _sequential_plan(g, probs, 2000, 44, 8)
+        assert np.array_equal(threaded[0], ref[0])
+        assert np.array_equal(threaded[1], ref[1])
+
+    def test_parallel_output_is_valid_csr(self, mid_graph):
+        g, probs = mid_graph
+        backend = ParallelBackend(g, probs, workers=WORKERS)
         members, indptr = backend.sample_batch_flat(257, np.random.default_rng(2))
         assert indptr.size == 258 and indptr[0] == 0
         assert indptr[-1] == members.size
         assert np.all(np.diff(indptr) >= 1)  # every set contains its root
         assert members.min() >= 0 and members.max() < g.n
 
-    def test_count_zero_and_negative(self, mid_graph, shared_pool):
+    def test_count_zero_and_negative(self, mid_graph):
         g, probs = mid_graph
-        backend = ParallelBackend(g, probs, pool=shared_pool)
+        backend = ParallelBackend(g, probs, workers=WORKERS)
         members, indptr = backend.sample_batch_flat(0, np.random.default_rng(1))
         assert members.size == 0 and indptr.tolist() == [0]
         with pytest.raises(EstimationError):
             backend.sample_batch_flat(-1)
 
-    def test_count_smaller_than_workers(self, mid_graph, shared_pool):
+    def test_count_smaller_than_workers(self, mid_graph):
         g, probs = mid_graph
-        backend = ParallelBackend(g, probs, pool=shared_pool)
+        backend = ParallelBackend(g, probs, workers=WORKERS)
         members, indptr = backend.sample_batch_flat(1, np.random.default_rng(4))
         assert indptr.size == 2 and indptr[-1] == members.size >= 1
 
-    def test_spread_estimates_agree_statistically(self, mid_graph, shared_pool):
+    def test_spread_estimates_agree_statistically(self, mid_graph):
         """Parallel draws a different stream but the same distribution:
         mean set size over a large batch must agree with serial."""
         g, probs = mid_graph
         serial = SerialBackend(g, probs)
-        parallel = ParallelBackend(g, probs, pool=shared_pool)
+        parallel = ParallelBackend(g, probs, workers=WORKERS)
         ms, is_ = serial.sample_batch_flat(4000, np.random.default_rng(8))
         mp_, ip_ = parallel.sample_batch_flat(4000, np.random.default_rng(8))
         mean_s = ms.size / 4000
@@ -208,16 +222,89 @@ class TestParallelParity:
         assert mean_p == pytest.approx(mean_s, rel=0.15)
 
 
+def _csr_digest(members: np.ndarray, indptr: np.ndarray) -> str:
+    h = hashlib.sha256()
+    h.update(np.asarray(members, dtype=np.int64).tobytes())
+    h.update(np.asarray(indptr, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+#: sha256 of ``ParallelBackend(mid_graph, workers=w).sample_batch_flat(
+#: 1001, default_rng(2024), roots=...)`` keyed by ``(w, roots pinned)``.
+#: Recorded on the process-pool executor and kept unchanged when the
+#: shards moved onto threads: the shard plan, not the executor, defines
+#: the ``(seed, workers)`` stream.
+PARALLEL_STREAM_GOLDEN = {
+    (2, False): "1eb039215da82c193e337dc7fdc8c3ba81dcdf7a6a619a64f7475c4f07de8b78",
+    (2, True): "e93546ae62d5c265fc18a5144aa2416d1db10c392abd873689befb2fad8a4d91",
+    (3, False): "28e8ea3e9ac90ef56f018fc70b817c9d151396b1fc711cc61d53d0a39a0dca20",
+    (3, True): "e2684b6bd00f05f52d2835f5b0eeab48c4bcdb4f91159f6578cb134298a3f5d0",
+}
+
+
+class TestParallelGolden:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_parallel_stream_golden(self, mid_graph, workers, pinned):
+        g, probs = mid_graph
+        count = 1001
+        roots = np.random.default_rng(7).integers(0, g.n, count) if pinned else None
+        with ParallelBackend(g, probs, workers=workers) as backend:
+            members, indptr = backend.sample_batch_flat(
+                count, np.random.default_rng(2024), roots=roots
+            )
+        assert _csr_digest(members, indptr) == PARALLEL_STREAM_GOLDEN[(workers, pinned)]
+
+    def test_ticsrm_workers2_golden(self):
+        from repro.core.ticsrm import ti_csrm
+        from tests.conftest import make_tiny_instance
+
+        result = ti_csrm(
+            make_tiny_instance(probs_value=0.5),
+            eps=0.8,
+            theta_cap=200,
+            opt_lower=1.0,
+            seed=9,
+            sampler_backend="parallel",
+            workers=2,
+        )
+        assert [sorted(result.allocation.seeds(i)) for i in range(2)] == [
+            [1, 3],
+            [0, 2, 4],
+        ]
+        assert result.revenue_per_ad == [3.35, 3.35]
+
+    def test_shard_error_surfaces_unchanged(self, mid_graph):
+        """A bad root in the second shard raises the kernel's own
+        EstimationError out of sample_batch_flat, and the backend keeps
+        sampling correctly afterwards."""
+        g, probs = mid_graph
+        count = 100
+        roots = np.zeros(count, dtype=np.int64)
+        roots[-1] = g.n  # last set lands in the last shard
+        with ParallelBackend(g, probs, workers=2) as backend:
+            with pytest.raises(EstimationError, match="roots must lie"):
+                backend.sample_batch_flat(
+                    count, np.random.default_rng(1), roots=roots
+                )
+            members, indptr = backend.sample_batch_flat(
+                1001, np.random.default_rng(2024)
+            )
+        assert _csr_digest(members, indptr) == PARALLEL_STREAM_GOLDEN[(2, False)]
+
+
 @settings(max_examples=12, deadline=None)
 @given(data=graphs())
 def test_hypothesis_shard_plan_equivalence(data):
-    """On arbitrary small graphs, running any shard plan in-process and
-    merging equals one serial run per shard — the invariant the pool
-    relies on (no cross-shard state, merge is pure offset arithmetic)."""
+    """On arbitrary small graphs, ParallelBackend's threaded shards merge
+    to exactly a plain sequential loop over the same shard plan, and the
+    merge keeps each shard byte for byte (no cross-shard state, merge is
+    pure offset arithmetic)."""
     g, probs = data
     sampler = RRSampler(g, probs)
-    root = np.random.SeedSequence(99)
+    rng = np.random.default_rng(99)
     counts = shard_counts(23, 4)
+    root = np.random.SeedSequence(int(rng.integers(0, 2**63 - 1)))
     parts = [
         sample_batch_flat_kernel(
             g.n,
@@ -230,6 +317,10 @@ def test_hypothesis_shard_plan_equivalence(data):
         for c, seq in zip(counts, root.spawn(len(counts)))
     ]
     members, indptr = merge_shards(parts)
+    with ParallelBackend(g, probs, workers=4) as backend:
+        threaded = backend.sample_batch_flat(23, np.random.default_rng(99))
+    assert np.array_equal(threaded[0], members)
+    assert np.array_equal(threaded[1], indptr)
     # CSR well-formedness
     assert indptr[0] == 0 and indptr[-1] == members.size
     assert indptr.size == 24
@@ -291,8 +382,8 @@ class TestResolveBackend:
         assert result.extras["workers"] == default_workers()
 
     def test_oracle_parallel_without_workers_shares_one_pool(self, mid_graph):
-        """backend='parallel' with workers unset must resolve once and
-        not leak a private pool per ad (regression)."""
+        """backend='parallel' with workers unset must resolve to the
+        default worker count and sample every ad (regression)."""
         from repro.core.instance import RMInstance
         from repro.core.ads import Advertiser
         from repro.core.oracles import RRStaticOracle
@@ -317,22 +408,6 @@ class TestFactoryAndLifecycle:
         with pytest.raises(EstimationError):
             make_backend(g, probs, "turbo")
 
-    def test_pool_rejects_foreign_graph(self, mid_graph, shared_pool):
-        other = powerlaw_configuration(50, mean_degree=4.0, exponent=2.3, seed=1)
-        probs = np.full(other.m, 0.2)
-        with pytest.raises(EstimationError):
-            ParallelBackend(other, probs, pool=shared_pool)
-
-    def test_pool_close_is_idempotent_and_final(self, mid_graph):
-        g, probs = mid_graph
-        pool = SharedGraphPool(g, WORKERS)
-        backend = ParallelBackend(g, probs, pool=pool)
-        backend.sample_batch_flat(10, np.random.default_rng(0))
-        pool.close()
-        pool.close()  # idempotent
-        with pytest.raises(EstimationError):
-            backend.sample_batch_flat(10, np.random.default_rng(0))
-
     def test_backend_close_raises_on_use(self, mid_graph):
         """A closed backend must raise, not silently fall back to the
         serial stream (regression)."""
@@ -345,15 +420,10 @@ class TestFactoryAndLifecycle:
             with pytest.raises(EstimationError):
                 backend.sample_batch_flat(5, np.random.default_rng(0))
 
-    def test_probs_registration_dedups(self, mid_graph, shared_pool):
-        _, probs = mid_graph
-        name1 = shared_pool.register_probs(probs)
-        name2 = shared_pool.register_probs(probs.copy())
-        assert name1 == name2
-
-    def test_probs_shape_validated(self, mid_graph, shared_pool):
+    def test_probs_shape_validated(self, mid_graph):
+        g, _ = mid_graph
         with pytest.raises(EstimationError):
-            shared_pool.register_probs(np.array([0.5]))
+            ParallelBackend(g, np.array([0.5]), workers=WORKERS)
 
 
 class TestSeamConsumers:
@@ -388,7 +458,7 @@ class TestSeamConsumers:
             assert serial.allocation.seeds(i) == par1.allocation.seeds(i)
         assert serial.revenue_per_ad == par1.revenue_per_ad
 
-    def test_singleton_spreads_backend_param(self, mid_graph, shared_pool):
+    def test_singleton_spreads_backend_param(self, mid_graph):
         from repro.diffusion.montecarlo import estimate_singleton_spreads_rr
 
         g, probs = mid_graph
@@ -408,7 +478,7 @@ class TestSeamConsumers:
             probs,
             n_samples=2000,
             rng=np.random.default_rng(6),
-            backend=ParallelBackend(g, probs, pool=shared_pool),
+            backend=ParallelBackend(g, probs, workers=WORKERS),
         )
         # Different stream, same estimand: close in aggregate.
         assert parallel.mean() == pytest.approx(serial_default.mean(), rel=0.2)

@@ -1,13 +1,14 @@
 """R4 — worker-payload safety: only module-level callables cross processes.
 
-``SharedGraphPool`` workers and ``multiprocessing`` entry points receive
+``multiprocessing`` entry points and process-pool executors receive
 their payload by pickling (spawn) or rely on it existing identically in
 every child (fork).  Lambdas don't pickle, closures capture parent-only
 state, and bound methods drag their whole instance across the boundary
 — all three have bitten fork-pools before and silently break under the
 spawn start method.  This rule flags them at the submission site:
-``Process(target=...)``, pool ``submit``/``apply_async``/``map``-family
-calls, and ``SharedGraphPool`` construction.
+``Process(target=...)`` and pool ``submit``/``apply_async``/``map``-family
+calls.  It cannot tell a thread executor from a process one, so thread
+submissions follow the same rule.
 """
 
 from __future__ import annotations

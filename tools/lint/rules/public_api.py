@@ -1,4 +1,4 @@
-"""R7 — public-API surface honesty (ex ``check_public_api.py``).
+"""R7 — public-API surface honesty.
 
 Two layers, each historically easy to break:
 
@@ -14,8 +14,6 @@ Two layers, each historically easy to break:
    cannot be imported from ``<root>/src`` (e.g. linting a scratch tree
    while a different checkout's ``repro`` is loaded), so the linter
    itself never needs numpy.
-
-``tools/check_public_api.py`` remains as a shim over :func:`main`.
 """
 
 from __future__ import annotations
@@ -192,28 +190,3 @@ class PublicApiRule(Rule):
         failures, _ = check_spec_round_trips(ctx.root)
         for rel, lineno, message in failures:
             yield self.repo_finding(rel, lineno, message)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point preserving the pre-lint script's contract."""
-    argv = sys.argv[1:] if argv is None else argv
-    root = (
-        Path(argv[0]).resolve()
-        if argv
-        else Path(__file__).resolve().parents[3]
-    )
-    failures = check_static(root)
-    dynamic_failures, specs = check_spec_round_trips(root)
-    failures += dynamic_failures
-    if failures:
-        print(f"{len(failures)} public-API check failure(s):")
-        for rel, lineno, message in failures:
-            print(f"  {rel}:{lineno}: {message}")
-        return 1
-    suffix = (
-        f"{specs} committed spec(s) round-trip through EngineSpec"
-        if specs >= 0
-        else "spec round-trip skipped (repro not importable)"
-    )
-    print(f"public API ok: __all__ names resolve, {suffix}")
-    return 0
